@@ -1,28 +1,33 @@
 """Distributed GD (Algorithm 1) on Spark DataFrames.
 
-The iterate ``x`` lives as a DataFrame ``[id, w_0.., x, x_prev, fixed]``.
-One GD iteration costs:
+The iterate is one checkpointed DataFrame
+``[id, w_0.., x, x_prev, fixed, nbrs, grad]``: each vertex row holds its own
+state, its adjacency array ``nbrs`` (null for a vertex without edges) and the
+gradient ``grad = (Ax)_id = Σ_{u∈N(id)} x_u`` of its ``x``. This is the
+vertex-centric layout of Pregel/GraphX (Gonzalez et al., OSDI'14). One GD
+iteration is one Spark plan with one shuffle:
 
-1. one shuffle join + groupBy-sum computing the gradient
-   ``(Az)_i = Σ_{j∈N(i)} z_j`` over the symmetrized edge list,
-2. one multi-scalar aggregation producing every quantity the driver needs
-   (``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
-   ``‖grad‖²_free`` and the previous step length), and
-3. one narrow map applying the gradient step, the sequential balance
-   projection ``x ← [x + γ·grad − Σ_j λ_j w_j]`` and vertex fixing.
+1. a narrow ``select`` applies the previous step's projected update
+   ``x ← clip(x + γ·grad − Σ_j λ_j w_j)`` and vertex fixing,
+2. ``explode(nbrs)`` emits one message ``(dst, x)`` per directed edge,
+3. the messages and the vertex rows are unioned and grouped by ``id`` (the
+   shuffle): the vertex columns pass through, the messages sum to ``grad``,
+4. ``localCheckpoint(eager=True)`` materialises the new iterate and truncates
+   its lineage, while ``observe`` takes every scalar the driver needs in the
+   same pass: ``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
+   ``‖grad‖²_free`` and the previous step length.
 
-Lineage is truncated every iteration with ``localCheckpoint(eager=True)``
-(the idiomatic Spark pattern for iterative algorithms — without it the plan
-grows exponentially). Only O(d²) scalars ever reach the driver per iteration,
-matching the paper's distributed model (Theorem 1.1); the final rounding
-collects the fractional vector, which is the same O(n) driver pass the paper
-performs centrally for the projection's λ-search.
+With adaptive execution that is two Spark jobs (the shuffle's map stage and
+the checkpoint). Only O(d²) scalars reach the driver per iteration, matching
+the paper's distributed model (Theorem 1.1); the final rounding collects the
+fractional vector, which is the same O(n) driver pass the paper performs
+centrally for the projection's λ-search.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.params import GDParams
@@ -35,6 +40,69 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
     if not cols:
         raise ValueError("vertex table has no weight columns w_0..w_{d-1}")
     return cols
+
+
+def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
+    """Aggregates feeding the λ-solve: ``a_j = ⟨w_j, x⟩`` and the free Gram
+    matrix ``D_j_l``; with the gradient also ``g_j = ⟨w_j, grad⟩_free``,
+    ``gn2 = ‖grad‖²_free`` and ``prog2 = ‖x − x_prev‖²``."""
+    free = ~F.col("fixed")
+
+    def free_sum(e: Column, name: str) -> Column:
+        return F.sum(F.when(free, e).otherwise(0.0)).alias(name)
+
+    aggs = []
+    for j, cj in enumerate(wcols):
+        aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
+        if with_grad:
+            aggs.append(free_sum(F.col(cj) * F.col("grad"), f"g_{j}"))
+        for l in range(j, len(wcols)):
+            aggs.append(free_sum(F.col(cj) * F.col(wcols[l]), f"D_{j}_{l}"))
+    if with_grad:
+        aggs.append(free_sum(F.col("grad") ** 2, "gn2"))
+        aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
+    return aggs
+
+
+def _gram(m: dict, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, D)`` out of the observed moments ``m``."""
+    a = np.array([float(m[f"a_{j}"]) for j in range(d)])
+    D = np.zeros((d, d))
+    for j in range(d):
+        for l in range(j, d):
+            D[j, l] = D[l, j] = float(m[f"D_{j}_{l}"])
+    return a, D
+
+
+def _checkpoint(df: DataFrame, aggs: list[Column]) -> tuple[DataFrame, dict]:
+    """Materialise ``df`` with its lineage truncated, and take ``aggs`` over
+    it in the same Spark jobs."""
+    obs = Observation()
+    df = df.observe(obs, *aggs).localCheckpoint(eager=True)
+    return df, obs.get
+
+
+def _projected(wcols: list[str], lam: np.ndarray, shift: Column) -> Column:
+    """``clip(x + shift − Σ_j λ_j w_j)`` on free coordinates; fixed ones keep ``x``."""
+    for j, cj in enumerate(wcols):
+        shift = shift - F.lit(float(lam[j])) * F.col(cj)
+    return F.when(
+        ~F.col("fixed"), F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
+    ).otherwise(F.col("x"))
+
+
+def _with_gradient(state: DataFrame, passthrough: list[Column]) -> DataFrame:
+    """Add ``grad = Σ_{u∈N(id)} x_u`` to every row of ``state`` with one
+    shuffle: each vertex sends its ``x`` along its ``nbrs``, and its own row
+    meets the messages it receives in one ``groupBy``. ``passthrough`` keeps
+    the vertex columns (``first`` non-null value of each)."""
+    msgs = state.select(F.explode("nbrs").alias("id"), F.col("x").alias("msg"))
+    return (
+        state.unionByName(msgs, allowMissingColumns=True)
+        .groupBy("id")
+        .agg(*passthrough, F.coalesce(F.sum("msg"), F.lit(0.0)).alias("grad"))
+        .where(F.col("fixed").isNotNull())  # messages to ids outside the vertex table
+    )
 
 
 def gd_relax_spark(
@@ -52,136 +120,93 @@ def gd_relax_spark(
     wcols = _weight_cols(vertices)
     d = len(wcols)
 
-    sym = symmetrize(edges).cache()
-    totals = vertices.agg(*[F.sum(c).alias(c) for c in wcols]).collect()[0]
-    b = params.eps * np.array([float(totals[c]) for c in wcols])
-    n = vertices.count()
-    target_len = params.step_mult * np.sqrt(n) / params.n_iter
-
     state = vertices.select("id", *wcols)
     if x0 is not None:
         state = state.join(
             spark.createDataFrame(x0[["id", "x"]]), "id", "left"
         ).withColumn("x", F.coalesce(F.col("x"), F.lit(0.0)))
     else:
-        # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise.
+        # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise. It is drawn on
+        # the vertex table itself, before any join, so it depends only on the
+        # seed and on the vertex table's own partitioning.
         sigma = params.noise_sigma_mult / params.n_iter
         state = state.withColumn("x", F.randn(params.seed) * F.lit(sigma))
+    nbrs = (
+        symmetrize(edges)
+        .groupBy(F.col("src").alias("id"))
+        .agg(F.collect_list("dst").alias("nbrs"))
+    )
     state = (
         state.withColumn("x_prev", F.col("x"))
         .withColumn("fixed", F.lit(False))
-        .localCheckpoint(eager=True)
+        .join(nbrs, "id", "left")
     )
+    # Column expressions are built once: each costs py4j calls on the driver.
+    passthrough = [
+        F.first(c, ignorenulls=True).alias(c) for c in (*wcols, "x", "x_prev", "fixed", "nbrs")
+    ]
+    step_moments, last_moments = _moments(wcols), _moments(wcols, False)
+    totals = [F.sum(c).alias(f"total_{j}") for j, c in enumerate(wcols)]
+    state, m = _checkpoint(
+        _with_gradient(state, passthrough),
+        step_moments + totals + [F.count(F.lit(1)).alias("n")],
+    )
+    b = params.eps * np.array([float(m[f"total_{j}"]) for j in range(d)])
+    target_len = params.step_mult * np.sqrt(m["n"]) / params.n_iter
 
     gamma: float | None = None
-    free = ~F.col("fixed")
     for t in range(params.n_iter):
-        grad = (
-            sym.join(state.select(F.col("id").alias("src"), "x"), "src")
-            .groupBy(F.col("dst").alias("id"))
-            .agg(F.sum("x").alias("grad"))
-        )
-        cur = (
-            state.join(grad, "id", "left")
-            .withColumn("grad", F.coalesce(F.col("grad"), F.lit(0.0)))
-            .cache()
-        )
-        aggs = []
-        for j, cj in enumerate(wcols):
-            aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
-            aggs.append(
-                F.sum(F.when(free, F.col(cj) * F.col("grad")).otherwise(0.0)).alias(f"g_{j}")
-            )
-            for l in range(j, d):
-                aggs.append(
-                    F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
-                        f"D_{j}_{l}"
-                    )
-                )
-        aggs.append(F.sum(F.when(free, F.col("grad") ** 2).otherwise(0.0)).alias("gn2"))
-        aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
-        row = cur.agg(*aggs).collect()[0]
-
-        prev_step = float(np.sqrt(max(row["prog2"], 0.0)))
+        prev_step = float(np.sqrt(max(m["prog2"], 0.0)))
         if not params.adaptive or gamma is None:
             # Fixed step length: renormalize against the current gradient.
-            gamma = target_len / max(float(np.sqrt(max(row["gn2"], 0.0))), 1e-12)
+            gamma = target_len / max(float(np.sqrt(max(m["gn2"], 0.0))), 1e-12)
         elif prev_step > 1e-12:
             gamma *= float(np.clip(target_len / prev_step, 0.5, 2.0))
 
-        a = np.array([float(row[f"a_{j}"]) for j in range(d)])
-        g = np.array([float(row[f"g_{j}"]) for j in range(d)])
-        D = np.zeros((d, d))
-        for j in range(d):
-            for l in range(j, d):
-                D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
-        s = a + gamma * g
-        lam = sequential_lambdas(s, D, b, params.projection_target)
+        a, D = _gram(m, d)
+        g = np.array([float(m[f"g_{j}"]) for j in range(d)])
+        lam = sequential_lambdas(a + gamma * g, D, b, params.projection_target)
 
-        shift = F.lit(gamma) * F.col("grad")
-        for j, cj in enumerate(wcols):
-            shift = shift - F.lit(float(lam[j])) * F.col(cj)
-        x_new = F.when(
-            free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-        ).otherwise(F.col("x"))
-
-        upd = cur.withColumn("x_next", x_new)
+        x_next = _projected(wcols, lam, F.lit(gamma) * F.col("grad"))
+        fixed = F.col("fixed")
         if params.fixing and t >= params.fix_start:
-            newly = free & (F.abs(F.col("x_next")) >= params.fix_threshold)
-            upd = upd.withColumn(
-                "x_next",
-                F.when(newly, F.signum(F.col("x_next"))).otherwise(F.col("x_next")),
-            ).withColumn("fixed", F.col("fixed") | newly)
-        new_state = upd.select(
-            "id",
-            *wcols,
-            F.col("x_next").alias("x"),
-            F.col("x").alias("x_prev"),
-            "fixed",
-        ).localCheckpoint(eager=True)
-        cur.unpersist()
-        state = new_state
+            newly = ~fixed & (F.abs(x_next) >= params.fix_threshold)
+            x_next = F.when(newly, F.signum(x_next)).otherwise(x_next)
+            fixed = fixed | newly
+        nxt = state.select(
+            "id", *wcols, x_next.alias("x"), F.col("x").alias("x_prev"),
+            fixed.alias("fixed"), "nbrs",
+        )
+        if t + 1 < params.n_iter:
+            state, m = _checkpoint(_with_gradient(nxt, passthrough), step_moments)
+        else:
+            # The last iterate needs no gradient: one narrow pass.
+            state, m = _checkpoint(nxt.select("id", *wcols, "x", "fixed"), last_moments)
 
     if params.final_project:
-        state = _final_alternating(state, wcols, b, params)
-    sym.unpersist()
+        state = _final_alternating(state, m, wcols, b, params)
     return state.select("id", *wcols, "x", "fixed")
 
 
-def _final_alternating(state: DataFrame, wcols: list[str], b: np.ndarray, params: GDParams) -> DataFrame:
+def _final_alternating(
+    state: DataFrame, m: dict, wcols: list[str], b: np.ndarray, params: GDParams
+) -> DataFrame:
     """Alternating projections (slab target) to convergence before rounding —
-    repairs the imbalance accumulated by one-shot projections (§3.1, Fig 9)."""
+    repairs the imbalance accumulated by one-shot projections (§3.1, Fig 9).
+
+    ``m`` holds the moments of ``state``; each round takes those of its own
+    result on that result's checkpoint."""
     d = len(wcols)
-    free = ~F.col("fixed")
     tol = 1e-7
+    moments = _moments(wcols, False)
     for _ in range(params.final_project_iters):
-        aggs = []
-        for j, cj in enumerate(wcols):
-            aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
-            for l in range(j, d):
-                aggs.append(
-                    F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
-                        f"D_{j}_{l}"
-                    )
-                )
-        row = state.agg(*aggs).collect()[0]
-        s = np.array([float(row[f"a_{j}"]) for j in range(d)])
+        s, D = _gram(m, d)
         if (np.abs(s) <= b + 1e-9 * (1 + np.abs(b))).all():
             break
-        D = np.zeros((d, d))
-        for j in range(d):
-            for l in range(j, d):
-                D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
         lam = sequential_lambdas(s, D, b, "slab")
         if float(np.abs(lam).max(initial=0.0)) < tol:
             break
-        shift = F.lit(0.0)
-        for j, cj in enumerate(wcols):
-            shift = shift - F.lit(float(lam[j])) * F.col(cj)
-        x_new = F.when(
-            free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-        ).otherwise(F.col("x"))
-        state = state.withColumn("x", x_new).localCheckpoint(eager=True)
+        state, m = _checkpoint(state.withColumn("x", _projected(wcols, lam, F.lit(0.0))), moments)
     return state
 
 

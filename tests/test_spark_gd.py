@@ -1,5 +1,8 @@
 """Tests for the distributed (Spark DataFrame) GD — cross-checked against the
 numpy reference on identical inputs."""
+import re
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -93,3 +96,79 @@ def test_spark_gd_requires_weight_columns(graph, spark):
     bad_vt = spark.createDataFrame(pd.DataFrame({"id": range(250)}))
     with pytest.raises(ValueError, match="weight columns"):
         gd_relax_spark(sdf, bad_vt, GDParams(n_iter=1))
+
+
+def test_spark_gd_noise_is_randn_on_vertex_table(graph):
+    """The t=0 noise is ``F.randn(seed)·σ`` drawn on the vertex table itself,
+    so one GD step from it equals the numpy step from that same noise."""
+    spec, pdf, sdf, vt = graph
+    params = GDParams(n_iter=1, fixing=False, final_project=False, seed=11)
+    sigma = params.noise_sigma_mult / params.n_iter
+    noise = vt.select("id", (F.randn(params.seed) * F.lit(sigma)).alias("x")).toPandas()
+    x0 = noise.sort_values("id")["x"].to_numpy()
+    assert np.abs(x0).max() > 0
+    x_ref, _ = gd_relax_local(pdf, _W_from_vt(vt), params, x0=x0)
+    frac = gd_relax_spark(sdf, vt, params)
+    x_spark = frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
+    assert np.allclose(x_spark, x_ref, atol=1e-6)
+
+
+def _final_exchanges(df) -> int:
+    """Shuffle ``Exchange`` nodes of ``df``'s executed (final adaptive) plan."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    return len(re.findall(r"(?<!\w)Exchange ", plan.split("== Initial Plan ==")[0]))
+
+
+def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeypatch):
+    """One GD step is at most two Spark jobs (the message shuffle's map stage
+    and the checkpoint), and its materialised plan has a single shuffle."""
+    _, _, sdf, vt = graph
+    sc = spark.sparkContext
+    cls = type(vt)
+    checkpointed = []
+    original = cls.localCheckpoint
+
+    def recording(self, *args, **kwargs):
+        checkpointed.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "localCheckpoint", recording)
+
+    def jobs(n_iter: int) -> int:
+        group = f"gd-shape-{n_iter}-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            gd_relax_spark(sdf, vt, GDParams(n_iter=n_iter, final_project=False, seed=5))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    j3 = jobs(3)
+    # Checkpoints of the n_iter=3 run: the start, two full steps, the last update.
+    steps = checkpointed[1:3]
+    j6 = jobs(6)
+    assert j6 - j3 <= 2 * 3
+    assert [_final_exchanges(df) for df in steps] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "params, atol",
+    [
+        (GDParams(n_iter=5, final_project=False, fixing=False, seed=0), 1e-6),
+        (GDParams(n_iter=8, final_project=True, fixing=True, fix_start_frac=0.5, seed=0), 1e-5),
+    ],
+)
+def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
+    """A vertex in no edge has a null adjacency and a zero gradient: its row
+    survives and both engines still follow the same trajectory."""
+    spec, pdf, sdf, vt = graph
+    iso = spec.n
+    vt_iso = vt.unionByName(spark.createDataFrame([(iso, 0, 1.0, 0.0)], vt.schema))
+    W = np.vstack([_W_from_vt(vt), [1.0, 0.0]])
+    x0 = np.random.default_rng(6).uniform(-0.05, 0.05, spec.n + 1)
+    x_local, _ = gd_relax_local(pdf, W, params, x0=x0)
+    frac = gd_relax_spark(sdf, vt_iso, params, x0=pd.DataFrame({"id": np.arange(iso + 1), "x": x0}))
+    got = frac.select("id", "x").toPandas().sort_values("id")
+    assert got["id"].tolist() == list(range(iso + 1))
+    assert np.allclose(got["x"].to_numpy(), x_local, atol=atol)
