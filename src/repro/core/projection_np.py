@@ -117,6 +117,7 @@ def dykstra(
     p = np.zeros((sets, y.size))
     for _ in range(max_iter):
         x_prev = x.copy()
+        p_prev = p.copy()
         for s in range(sets):
             z = x + p[s]
             if s < d:
@@ -125,7 +126,9 @@ def dykstra(
                 xn = clip_box(z, fixed, x_fixed)
             p[s] = z - xn
             x = xn
-        if float(np.linalg.norm(x - x_prev)) < tol:
+        # x can repeat across a cycle while the increments still move (e.g.
+        # the box clip lands on the same vertex twice), so both must settle.
+        if float(np.linalg.norm(x - x_prev)) + float(np.linalg.norm(p - p_prev)) < tol:
             break
     return x
 

@@ -1,11 +1,14 @@
 """Tests for recursive k-way partitioning (§3.3)."""
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import metrics
+from repro.core.gd import gd_bipartition_spark
 from repro.core.params import GDParams
-from repro.core.recursive import partition_k_local, partition_k_spark
+from repro.core.recursive import _level_params, partition_k_local, partition_k_spark
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
 from tests.test_local_gd import _weights
@@ -55,8 +58,18 @@ def test_local_k1_trivial(graph4):
 def test_local_k_must_be_power_of_two(graph4):
     spec, edges = graph4
     W = _weights(edges, spec.n)
-    with pytest.raises(AssertionError, match="power of two"):
-        partition_k_local(edges, W, 3, GDParams(n_iter=2))
+    for k in (0, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            partition_k_local(edges, W, k, GDParams(n_iter=2))
+
+
+def test_spark_k_must_be_power_of_two(graph4, spark):
+    _, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    vt = vertex_table(sdf)
+    for k in (0, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            partition_k_spark(sdf, vt, k, GDParams(n_iter=2))
 
 
 def test_local_k_deterministic(graph4):
@@ -96,3 +109,43 @@ def test_spark_k2_equals_bipartition_shape(graph4, spark):
     vt = vertex_table(sdf)
     assign = partition_k_spark(sdf, vt, 2, GDParams(n_iter=10, eps=0.05, seed=2), spark_levels=1)
     assert set(r["part"] for r in assign.select("part").distinct().collect()) == {0, 1}
+
+
+@pytest.mark.parametrize("spark_levels", [0, 1, 2])
+def test_spark_k4_isolated_vertex_gets_one_part(graph4, spark, spark_levels):
+    """A vertex in no edge still gets exactly one part in [0, k)."""
+    spec, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    vt = vertex_table(sdf)
+    iso = spec.n
+    vt = vt.unionByName(spark.createDataFrame([(iso, 0, 1.0, 0.0)], vt.schema))
+    assign = partition_k_spark(
+        sdf, vt, 4, GDParams(n_iter=8, eps=0.08, seed=3), spark_levels=spark_levels
+    ).toPandas()
+    assert sorted(assign["id"]) == list(range(iso + 1))
+    assert assign["part"].between(0, 3).all()
+
+
+def test_spark_k4_descent_costs_at_most_three_jobs(graph4, spark):
+    """Handing a Spark node's halves to numpy collects the node's graph once:
+    the k-way run costs at most three Spark jobs more than its top bisection."""
+    _, edges = graph4
+    sc = spark.sparkContext
+    sdf = gen.to_spark(spark, edges).cache()
+    vt = vertex_table(sdf).cache()
+    vt.count()
+    params = GDParams(n_iter=4, eps=0.08, seed=4)
+
+    def jobs(run) -> int:
+        group = f"descent-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            run()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    bisect = jobs(lambda: gd_bipartition_spark(sdf, vt, _level_params(params, 2, 0)))
+    kway = jobs(lambda: partition_k_spark(sdf, vt, 4, params, spark_levels=1))
+    assert kway - bisect <= 3
