@@ -15,10 +15,13 @@ iteration is one Spark plan with one shuffle:
 4. ``localCheckpoint(eager=True)`` materialises the new iterate and truncates
    its lineage, while ``observe`` takes every scalar the driver needs in the
    same pass: ``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
-   ``‖grad‖²_free`` and the previous step length.
+   ``‖grad‖²_free``, the previous step length and the number of free
+   vertices.
 
 With adaptive execution that is two Spark jobs (the shuffle's map stage and
-the checkpoint). Only O(d²) scalars reach the driver per iteration, matching
+the checkpoint). The loop stops once no vertex is free: a fixed coordinate
+keeps its ``x`` in every later projection, so the remaining steps could not
+change the output. Only O(d²) scalars reach the driver per iteration, matching
 the paper's distributed model (Theorem 1.1); the final rounding collects the
 fractional vector, which is the same O(n) driver pass the paper performs
 centrally for the projection's λ-search.
@@ -45,7 +48,8 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
 def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
     """Aggregates feeding the λ-solve: ``a_j = ⟨w_j, x⟩`` and the free Gram
     matrix ``D_j_l``; with the gradient also ``g_j = ⟨w_j, grad⟩_free``,
-    ``gn2 = ‖grad‖²_free`` and ``prog2 = ‖x − x_prev‖²``."""
+    ``gn2 = ‖grad‖²_free``, ``prog2 = ‖x − x_prev‖²`` and the number of free
+    vertices ``n_free``."""
     free = ~F.col("fixed")
 
     def free_sum(e: Column, name: str) -> Column:
@@ -61,6 +65,7 @@ def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
     if with_grad:
         aggs.append(free_sum(F.col("grad") ** 2, "gn2"))
         aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
+        aggs.append(F.sum((~F.col("fixed")).cast("long")).alias("n_free"))
     return aggs
 
 
@@ -156,6 +161,10 @@ def gd_relax_spark(
 
     gamma: float | None = None
     for t in range(params.n_iter):
+        if m["n_free"] == 0:
+            # Fixed coordinates keep their x in every projection, the final
+            # one included, so no later step can change the output.
+            break
         prev_step = float(np.sqrt(max(m["prog2"], 0.0)))
         if not params.adaptive or gamma is None:
             # Fixed step length: renormalize against the current gradient.
@@ -219,8 +228,8 @@ def gd_bipartition_spark(
     """Full distributed GD 2-partitioner; returns assignment ``[id, part]``.
 
     Rounding + repair run on the driver over the collected fractional vector
-    (an O(n log n) pass, same as the paper's centralized λ-search; see
-    DESIGN.md §3).
+    (an O(n log n + n·d + flips·d) pass, like the paper's centralized
+    λ-search; see DESIGN.md §3).
     """
     from repro.core.rounding import repair_balance, round_randomized
 

@@ -51,7 +51,10 @@ def gd_relax_local(
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, GDHistory]:
     """Run the continuous GD relaxation; returns final fractional ``x`` and
-    (optionally populated) per-iteration history."""
+    (optionally populated) per-iteration history.
+
+    The loop stops once every vertex is fixed; the history still has
+    ``n_iter`` entries."""
     n, d = W.shape
     sym_src, sym_dst = _symmetric_arrays(edges)
     b = params.eps * W.sum(axis=0)
@@ -92,6 +95,19 @@ def gd_relax_local(
             hist.max_imbalance.append(float(np.max(np.abs(s) / np.maximum(W.sum(axis=0), 1e-12))))
             hist.step_len.append(step)
             hist.n_fixed.append(int(fixed.sum()))
+        if fixed.all():
+            # A fixed coordinate keeps its x in every projection, the final
+            # one included, so no later step can change the output.
+            break
+
+    if params.record_history:
+        # The skipped steps would each have recorded a zero step from the
+        # same point.
+        pad = params.n_iter - len(hist.step_len)
+        hist.locality += hist.locality[-1:] * pad
+        hist.max_imbalance += hist.max_imbalance[-1:] * pad
+        hist.step_len += [0.0] * pad
+        hist.n_fixed += hist.n_fixed[-1:] * pad
 
     if params.final_project:
         # One-shot alternating drifts slightly out of K; finish with

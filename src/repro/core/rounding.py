@@ -6,9 +6,11 @@ small graph sizes of this reproduction the binomial deviation can exceed
 ``ε·Σw``, so ``repair_balance`` greedily flips the *least integral* vertices
 (smallest |x| — the vertices the relaxation was least certain about) from the
 overloaded side until every dimension is within the slab. This is a driver-
-side O(n log n) post-pass (DESIGN.md §3).
+side post-pass costing O(n log n + n·d + flips·d) (DESIGN.md §3).
 """
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -16,11 +18,6 @@ import numpy as np
 def round_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Round fractional x ∈ [-1,1]^n to signs in {-1,+1}^n."""
     return np.where(rng.random(x.size) < (x + 1.0) * 0.5, 1.0, -1.0)
-
-
-def round_deterministic(x: np.ndarray) -> np.ndarray:
-    """Threshold rounding (sign of x; ties to +1)."""
-    return np.where(x >= 0.0, 1.0, -1.0)
 
 
 def repair_balance(
@@ -33,9 +30,16 @@ def repair_balance(
     """Greedily flip low-|x| vertices until ``|⟨w_j, signs⟩| ≤ ε·Σw_j`` ∀j.
 
     Each flip moves a vertex from the currently worst-violating dimension's
-    heavy side; vertices are consumed in increasing |x| order. Terminates
-    after at most ``max_flips`` (default 2n) flips even if some dimension
-    remains violated (returns best effort).
+    heavy side; vertices are consumed in increasing |x| order (stable, so
+    ties go by id) and each at most once. Terminates after at most
+    ``max_flips`` (default 2n) flips even if some dimension remains violated
+    (returns best effort).
+
+    A vertex keeps its sign until it is flipped, and a flipped vertex is
+    never a candidate again. So the candidates of one (dimension, heavy side)
+    pair form a fixed queue in |x| order, built the first time the pair is
+    chosen; taking from it skips the vertices another queue has used. Each
+    queue is scanned once, which makes the cost O(n log n + n·d + flips·d).
     """
     signs = signs.copy()
     n, d = W.shape
@@ -44,6 +48,7 @@ def repair_balance(
     order = np.argsort(np.abs(x), kind="stable")
     max_flips = 2 * n if max_flips is None else max_flips
     used = np.zeros(n, dtype=bool)
+    queues: dict[tuple[int, float], Iterator[int]] = {}
     flips = 0
     while flips < max_flips:
         viol = np.abs(s) - b
@@ -51,16 +56,14 @@ def repair_balance(
         if viol[j] <= 1e-9:
             break
         heavy = np.sign(s[j])
-        flipped = False
-        for i in order:
-            if used[i] or signs[i] != heavy or W[i, j] <= 0:
-                continue
-            signs[i] = -heavy
-            s -= 2.0 * heavy * W[i]
-            used[i] = True
-            flips += 1
-            flipped = True
-            break
-        if not flipped:
+        key = (j, heavy)
+        if key not in queues:
+            queues[key] = iter(order[(signs[order] == heavy) & ~used[order] & (W[order, j] > 0)].tolist())
+        i = next((i for i in queues[key] if not used[i]), None)
+        if i is None:
             break  # no candidate left on the heavy side
+        signs[i] = -heavy
+        s -= 2.0 * heavy * W[i]
+        used[i] = True
+        flips += 1
     return signs

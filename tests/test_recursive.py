@@ -1,5 +1,4 @@
 """Tests for recursive k-way partitioning (§3.3)."""
-import uuid
 
 import numpy as np
 import pandas as pd
@@ -11,6 +10,7 @@ from repro.core.params import GDParams
 from repro.core.recursive import _level_params, partition_k_local, partition_k_spark
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
+from tests.spark_jobs import count_jobs
 from tests.test_local_gd import _weights
 
 
@@ -130,22 +130,11 @@ def test_spark_k4_descent_costs_at_most_three_jobs(graph4, spark):
     """Handing a Spark node's halves to numpy collects the node's graph once:
     the k-way run costs at most three Spark jobs more than its top bisection."""
     _, edges = graph4
-    sc = spark.sparkContext
     sdf = gen.to_spark(spark, edges).cache()
     vt = vertex_table(sdf).cache()
     vt.count()
     params = GDParams(n_iter=4, eps=0.08, seed=4)
 
-    def jobs(run) -> int:
-        group = f"descent-{uuid.uuid4().hex}"
-        sc.setJobGroup(group, group)
-        try:
-            run()
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return len(sc.statusTracker().getJobIdsForGroup(group))
-
-    bisect = jobs(lambda: gd_bipartition_spark(sdf, vt, _level_params(params, 2, 0)))
-    kway = jobs(lambda: partition_k_spark(sdf, vt, 4, params, spark_levels=1))
+    bisect, _ = count_jobs(spark, lambda: gd_bipartition_spark(sdf, vt, _level_params(params, 2, 0)))
+    kway, _ = count_jobs(spark, lambda: partition_k_spark(sdf, vt, 4, params, spark_levels=1))
     assert kway - bisect <= 3

@@ -1,7 +1,6 @@
 """Tests for the distributed (Spark DataFrame) GD — cross-checked against the
 numpy reference on identical inputs."""
 import re
-import uuid
 
 import numpy as np
 import pandas as pd
@@ -14,6 +13,7 @@ from repro.core.local_gd import gd_relax_local
 from repro.core.params import GDParams
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
+from tests.spark_jobs import count_jobs
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,6 @@ def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeyp
     """One GD step is at most two Spark jobs (the message shuffle's map stage
     and the checkpoint), and its materialised plan has a single shuffle."""
     _, _, sdf, vt = graph
-    sc = spark.sparkContext
     cls = type(vt)
     checkpointed = []
     original = cls.localCheckpoint
@@ -135,14 +134,8 @@ def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeyp
     monkeypatch.setattr(cls, "localCheckpoint", recording)
 
     def jobs(n_iter: int) -> int:
-        group = f"gd-shape-{n_iter}-{uuid.uuid4().hex}"
-        sc.setJobGroup(group, group)
-        try:
-            gd_relax_spark(sdf, vt, GDParams(n_iter=n_iter, final_project=False, seed=5))
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return len(sc.statusTracker().getJobIdsForGroup(group))
+        params = GDParams(n_iter=n_iter, final_project=False, seed=5)
+        return count_jobs(spark, lambda: gd_relax_spark(sdf, vt, params))[0]
 
     j3 = jobs(3)
     # Checkpoints of the n_iter=3 run: the start, two full steps, the last update.
@@ -172,3 +165,36 @@ def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
     got = frac.select("id", "x").toPandas().sort_values("id")
     assert got["id"].tolist() == list(range(iso + 1))
     assert np.allclose(got["x"].to_numpy(), x_local, atol=atol)
+
+
+def test_gd_stops_once_every_vertex_is_fixed(graph, spark):
+    """With fixing from the first step at threshold 0, every vertex is fixed
+    after one step. The Spark loop then stops: 3 and 12 iterations cost the
+    same jobs and give the same x, which matches numpy. The numpy history
+    still has one entry per iteration, ending in zero steps."""
+    spec, pdf, sdf, vt = graph
+    W = _W_from_vt(vt)
+    x0 = np.random.default_rng(7).uniform(-0.05, 0.05, spec.n)
+    x0_df = pd.DataFrame({"id": np.arange(spec.n), "x": x0})
+
+    def params(n_iter: int, **kw) -> GDParams:
+        # step_mult ∝ n_iter keeps the target step length, so the one real
+        # step is the same in both runs.
+        return GDParams(
+            n_iter=n_iter, step_mult=n_iter / 6, fix_start_frac=0.0, fix_threshold=0.0, seed=0, **kw
+        )
+
+    def spark_x(n_iter: int) -> tuple[int, np.ndarray]:
+        jobs, frac = count_jobs(spark, lambda: gd_relax_spark(sdf, vt, params(n_iter), x0=x0_df))
+        return jobs, frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
+
+    jobs3, x3 = spark_x(3)
+    jobs12, x12 = spark_x(12)
+    assert jobs12 == jobs3
+    assert np.array_equal(x12, x3)
+
+    x_local, hist = gd_relax_local(pdf, W, params(12, record_history=True), x0=x0)
+    assert np.allclose(x12, x_local, atol=1e-5)
+    assert len(hist.step_len) == len(hist.locality) == len(hist.n_fixed) == 12
+    assert hist.step_len[0] > 0 and hist.step_len[1:] == [0.0] * 11
+    assert hist.n_fixed == [spec.n] * 12
