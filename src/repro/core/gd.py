@@ -34,7 +34,7 @@ from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core.params import GDParams
-from repro.core.projection_spark import sequential_lambdas
+from repro.core.projection_np import FINAL_PROJECT_ITERS, final_slab_lambdas, sequential_lambdas
 from repro.graphs.ops import symmetrize
 
 
@@ -193,27 +193,22 @@ def gd_relax_spark(
             state, m = _checkpoint(nxt.select("id", *wcols, "x", "fixed"), last_moments)
 
     if params.final_project:
-        state = _final_alternating(state, m, wcols, b, params)
+        state = _final_alternating(state, m, wcols, b)
     return state.select("id", *wcols, "x", "fixed")
 
 
-def _final_alternating(
-    state: DataFrame, m: dict, wcols: list[str], b: np.ndarray, params: GDParams
-) -> DataFrame:
-    """Alternating projections (slab target) to convergence before rounding —
-    repairs the imbalance accumulated by one-shot projections (§3.1, Fig 9).
+def _final_alternating(state: DataFrame, m: dict, wcols: list[str], b: np.ndarray) -> DataFrame:
+    """Slab projections of the free coordinates until the point is feasible,
+    before rounding — repairs the imbalance accumulated by one-shot
+    projections (§3.1, Fig 9). The λ and the stopping rule are
+    ``final_slab_lambdas``, shared with the numpy engine.
 
     ``m`` holds the moments of ``state``; each round takes those of its own
     result on that result's checkpoint."""
-    d = len(wcols)
-    tol = 1e-7
     moments = _moments(wcols, False)
-    for _ in range(params.final_project_iters):
-        s, D = _gram(m, d)
-        if (np.abs(s) <= b + 1e-9 * (1 + np.abs(b))).all():
-            break
-        lam = sequential_lambdas(s, D, b, "slab")
-        if float(np.abs(lam).max(initial=0.0)) < tol:
+    for _ in range(FINAL_PROJECT_ITERS):
+        lam = final_slab_lambdas(*_gram(m, len(wcols)), b)
+        if lam is None:
             break
         state, m = _checkpoint(state.withColumn("x", _projected(wcols, lam, F.lit(0.0))), moments)
     return state

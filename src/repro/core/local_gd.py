@@ -110,12 +110,16 @@ def gd_relax_local(
         hist.n_fixed += hist.n_fixed[-1:] * pad
 
     if params.final_project:
-        # One-shot alternating drifts slightly out of K; finish with
-        # alternating projections to convergence on the slab faces (§3.1).
-        x = P.alternating(
-            y=x, W=W, b=b, fixed=fixed, x_fixed=x,
-            target="slab", tol=1e-9, max_iter=params.final_project_iters,
-        )
+        # One-shot projections drift slightly out of K; finish with slab
+        # projections of the free coordinates until x is feasible (§3.1).
+        free = ~fixed
+        W_free = W[free]
+        D = W_free.T @ W_free
+        for _ in range(P.FINAL_PROJECT_ITERS):
+            lam = P.final_slab_lambdas(W.T @ x, D, b)
+            if lam is None:
+                break
+            x[free] = np.clip(x[free] - W_free @ lam, -1.0, 1.0)
     return x, hist
 
 

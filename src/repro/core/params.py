@@ -24,8 +24,8 @@ class GDParams:
       step length (§3.2).
     - ``fixing``: freeze near-integral coordinates (|x| ≥ ``fix_threshold``)
       after ``fix_start_frac`` of the iterations (§3.2).
-    - ``final_project``: run alternating projections to convergence (slab
-      target) before rounding, fixing the one-shot drift (§3.1, Fig 9).
+    - ``final_project``: project on the slab faces until feasible before
+      rounding, fixing the one-shot drift (§3.1, Fig 9).
     """
 
     n_iter: int = 60
@@ -39,7 +39,6 @@ class GDParams:
     fix_threshold: float = 0.999
     fix_start_frac: float = 0.7
     final_project: bool = True
-    final_project_iters: int = 100
     seed: int = 0
     record_history: bool = False
 

@@ -3,10 +3,21 @@
 The feasible region is ``K = B_inf ∩ ⋂_j S^j`` where ``B_inf = [-1,1]^n`` and
 ``S^j = {x : |⟨w_j, x⟩| ≤ b_j}`` (the paper writes ``b_j = ε·Σ_i w_i^(j)``).
 
-Implemented methods, all pure numpy (driver-side; the distributed GD only
-needs the aggregated scalars — see ``projection_spark``):
+The one-shot alternating projection (§3.1) needs only *scalars* of the
+vector: the inner products ``s_j = ⟨w_j, y⟩`` and the free-coordinate Gram
+matrix ``D_jk = Σ_free w_j w_k``. Sequentially projecting on the d
+hyperplanes updates these scalars analytically (``sequential_lambdas``), so
+the whole projection costs one aggregation + one map over the vector — this
+is how the ``O(|E|/m + ...)`` distributed step of Theorem 1.1 is realized.
+Both GD engines take their one-shot step and their final projection from
+these λ: numpy applies them to an array, Spark to a DataFrame column.
+
+Implemented methods, all pure numpy:
 
 - ``clip_box`` / ``project_slab`` / ``project_plane`` — primitive projections.
+- ``sequential_lambdas`` — the multipliers of the sequential plane/slab
+  projections, from ``(s, D)``; ``final_slab_lambdas`` wraps it with the
+  stopping rule of the final projection before rounding.
 - ``one_shot_alternating`` — the paper's default: one plane projection per
   dimension, then one box clip (§3.1).
 - ``alternating`` — alternating projections until convergence; converges to a
@@ -56,6 +67,49 @@ def project_slab(y: np.ndarray, w: np.ndarray, b: float, fixed: np.ndarray | Non
     return project_plane(y, w, np.sign(s) * b, fixed)
 
 
+def sequential_lambdas(
+    s: np.ndarray,
+    D: np.ndarray,
+    b: np.ndarray,
+    target: str = "plane",
+) -> np.ndarray:
+    """Multipliers λ_j of the sequential balance projections.
+
+    After the sequential pass the vector update is
+    ``y_free ← y_free − Σ_j λ_j w_j`` (then box clip). ``s`` holds ⟨w_j, y⟩
+    over *all* coordinates, ``D`` the free-coordinate Gram matrix, ``b`` the
+    slab half-widths. ``target='plane'`` drives each ⟨w_j,·⟩ to 0 (§3.1);
+    ``'slab'`` only to the nearest ε-face.
+    """
+    d = s.size
+    lam = np.zeros(d)
+    for j in range(d):
+        s_cur = float(s[j]) - float(np.dot(lam[:j], D[:j, j]))
+        c = 0.0 if target == "plane" else float(np.clip(s_cur, -b[j], b[j]))
+        lam[j] = (s_cur - c) / D[j, j] if D[j, j] > 0 else 0.0
+    return lam
+
+
+# Rounds of the final projection before rounding (§3.1, Fig 9).
+FINAL_PROJECT_ITERS = 100
+
+
+def final_slab_lambdas(s: np.ndarray, D: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One round of the final projection, shared by both GD engines.
+
+    Returns the slab multipliers of the point with moments ``s`` and free
+    Gram matrix ``D``, or None once there is nothing left to do: the point
+    is feasible (``|s_j| ≤ b_j + 1e-9·(1+|b_j|)``) or every multiplier is
+    negligible (``max|λ| < 1e-7``).
+    """
+    if (np.abs(s) <= b + 1e-9 * (1 + np.abs(b))).all():
+        return None
+    lam = sequential_lambdas(s, D, b, "slab")
+    if float(np.abs(lam).max(initial=0.0)) < 1e-7:
+        return None
+    return lam
+
+
 def one_shot_alternating(
     y: np.ndarray,
     W: np.ndarray,
@@ -68,14 +122,18 @@ def one_shot_alternating(
 
     ``target='plane'`` projects onto ``⟨w_j,x⟩ = 0`` (the paper's §3.1 choice,
     which lies inside every slab); ``'slab'`` projects onto the slab faces.
-    ``W`` is (n, d); ``b`` is (d,).
+    ``W`` is (n, d); ``b`` is (d,). The d projections are taken in λ-form:
+    ``sequential_lambdas`` on ``s = Wᵀy`` and the free Gram matrix, then
+    ``y_free − W_free·λ`` once.
     """
+    if fixed is None or not fixed.any():
+        lam = sequential_lambdas(W.T @ y, W.T @ W, b, target)
+        return clip_box(y - W @ lam)
+    free = ~fixed
+    W_free = W[free]
+    lam = sequential_lambdas(W.T @ y, W_free.T @ W_free, b, target)
     x = y.copy()
-    for j in range(W.shape[1]):
-        if target == "plane":
-            x = project_plane(x, W[:, j], 0.0, fixed)
-        else:
-            x = project_slab(x, W[:, j], float(b[j]), fixed)
+    x[free] -= W_free @ lam
     return clip_box(x, fixed, x_fixed)
 
 
@@ -149,6 +207,9 @@ def _solve_lambda_eq(y: np.ndarray, w: np.ndarray, c: float) -> float | None:
     total = float(w.sum())
     if c > total + _TOL or c < -total - _TOL:
         return None
+    if w.size == 0:
+        # No coordinate can move: h ≡ 0, which is c within tolerance.
+        return 0.0
 
     def h(lam: float) -> float:
         return float(np.dot(w, np.clip(y - lam * w, -1.0, 1.0)))
@@ -183,21 +244,6 @@ def _solve_lambda_eq(y: np.ndarray, w: np.ndarray, c: float) -> float | None:
     return float(np.clip(lam, lam_l, lam_r))
 
 
-def _split_zero_weights(y, w, fixed, x_fixed):
-    """Reduce to the strictly-positive-weight free coordinates.
-
-    Returns (idx_free_pos, y_sub, w_sub, c_offset) where ``c_offset`` is the
-    contribution of fixed coords and zero-weight coords do not affect ⟨w,x⟩.
-    """
-    free = np.ones_like(y, dtype=bool) if fixed is None else ~fixed
-    pos = w > 0
-    sel = free & pos
-    c_off = 0.0
-    if fixed is not None and fixed.any():
-        c_off = float(np.dot(w[fixed], x_fixed[fixed]))
-    return sel, y[sel], w[sel], c_off
-
-
 def exact_d1(
     y: np.ndarray,
     w: np.ndarray,
@@ -210,18 +256,16 @@ def exact_d1(
     Case λ=0 (box clip already feasible) is detected first; otherwise the
     active slab face is an equality and λ is found by the breakpoint walk.
     """
-    assert (w >= 0).all(), "weight functions are nonnegative (w: V -> R+)"
+    if (w < 0).any():
+        raise ValueError("weight functions are nonnegative (w: V -> R+)")
     x0 = clip_box(y, fixed, x_fixed)
     s = float(np.dot(w, x0))
     if abs(s) <= b + _TOL:
         return x0
-    sel, y_sub, w_sub, c_off = _split_zero_weights(y, w, fixed, x_fixed)
-    lam = _solve_lambda_eq(y_sub, w_sub, np.sign(s) * b - c_off)
-    if lam is None:  # b exceeds reachable sum — box clip was the answer
+    res = _solve_eq_d1_general(y, w, np.sign(s) * b, fixed, x_fixed)
+    if res is None:  # b exceeds reachable sum — box clip was the answer
         return x0
-    x = clip_box(y, fixed, x_fixed)
-    x[sel] = np.clip(y_sub - lam * w_sub, -1.0, 1.0)
-    return x
+    return res[0]
 
 
 def _solve_eq_d1_general(
@@ -231,8 +275,17 @@ def _solve_eq_d1_general(
     fixed: np.ndarray | None = None,
     x_fixed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float] | None:
-    """Solve min ||x-y|| s.t. box and ``⟨w,x⟩ = c`` exactly; returns (x, λ)."""
-    sel, y_sub, w_sub, c_off = _split_zero_weights(y, w, fixed, x_fixed)
+    """Solve min ||x-y|| s.t. box and ``⟨w,x⟩ = c`` exactly; returns (x, λ).
+
+    Only free coordinates of positive weight move: fixed ones add their
+    ``⟨w, x_fixed⟩`` to the sum, and zero-weight ones do not affect it."""
+    sel = w > 0
+    c_off = 0.0
+    if fixed is not None:
+        sel &= ~fixed
+        if fixed.any():
+            c_off = float(np.dot(w[fixed], x_fixed[fixed]))
+    y_sub, w_sub = y[sel], w[sel]
     lam = _solve_lambda_eq(y_sub, w_sub, c - c_off)
     if lam is None:
         return None
@@ -256,8 +309,10 @@ def exact_d2(
     the slabs); the correct guess yields the KKT point, so the closest
     feasible candidate is the projection.
     """
-    assert W.shape[1] == 2
-    assert (W >= 0).all()
+    if W.shape[1] != 2:
+        raise ValueError(f"exact_d2 needs d=2 weight columns, got {W.shape[1]}")
+    if (W < 0).any():
+        raise ValueError("weight functions are nonnegative (w: V -> R+)")
     w1, w2 = W[:, 0], W[:, 1]
     b1, b2 = float(b[0]), float(b[1])
     candidates: list[np.ndarray] = []
@@ -286,29 +341,16 @@ def exact_d2(
     # binary search — inner solves λ2 exactly for a given λ1, outer bisects
     # on λ1 using monotonicity of Δ(λ1) (Definition A.1; direction unknown,
     # so a sign-change bracket is searched in both directions).
-    sel, _, _, c_off1 = _split_zero_weights(y, w1, fixed, x_fixed)
+    def x_at(lam1: float, c2: float) -> np.ndarray | None:
+        """x(λ1, λ2(λ1)) where λ2 enforces ⟨w2,x⟩ = c2. Fixed coordinates
+        keep ``x_fixed``, not their shifted values (``clip_box``)."""
+        res = _solve_eq_d1_general(y - lam1 * w1, w2, c2, fixed, x_fixed)
+        return None if res is None else res[0]
 
     def delta(lam1: float, c2: float) -> float | None:
-        """Δ(λ1) = ⟨w1, x(λ1, λ2(λ1))⟩ where λ2 enforces ⟨w2,x⟩ = c2."""
-        y_shift = y - lam1 * w1
-        res = _solve_eq_d1_general(y_shift, w2, c2, fixed, x_fixed)
-        if res is None:
-            return None
-        x, _ = res
-        # Fixed coords must keep their original values, not shifted ones.
-        if fixed is not None and fixed.any():
-            x[fixed] = x_fixed[fixed]
-        return float(np.dot(w1, x))
-
-    def x_at(lam1: float, c2: float) -> np.ndarray | None:
-        y_shift = y - lam1 * w1
-        res = _solve_eq_d1_general(y_shift, w2, c2, fixed, x_fixed)
-        if res is None:
-            return None
-        x, _ = res
-        if fixed is not None and fixed.any():
-            x[fixed] = x_fixed[fixed]
-        return x
+        """Δ(λ1) = ⟨w1, x(λ1, λ2(λ1))⟩."""
+        x = x_at(lam1, c2)
+        return None if x is None else float(np.dot(w1, x))
 
     scale = float(np.abs(y).max(initial=1.0)) + 1.0
     wmin = W[W > 0].min() if (W > 0).any() else 1.0

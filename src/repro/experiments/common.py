@@ -10,13 +10,6 @@ from repro.core.recursive import partition_k_local, partition_k_spark
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
 
-# GD balance modes of §4.2: which weight dimensions are balanced.
-MODE_DIMS: dict[str, tuple[str, ...]] = {
-    "vertex": ("unit",),
-    "edge": ("degree",),
-    "vertex-edge": ("unit", "degree"),
-}
-
 
 def build_graph(spark: SparkSession, spec: gen.GraphSpec):
     """Materialize a spec: (edges_pdf, edges_sdf cached, full vertex table)."""
@@ -42,7 +35,6 @@ def gd_assignment(
     ``w_0 = unit`` and ``w_1 = degree``. ``engine='local'`` collects the graph
     and runs the numpy recursion (used by parameter sweeps).
     """
-    dims = MODE_DIMS[mode]
     cols = {"vertex": ["w_0"], "edge": ["w_1"], "vertex-edge": ["w_0", "w_1"]}[mode]
     vt = vt_full.select("id", *[c for c in cols])
     for j, c in enumerate(cols):

@@ -46,19 +46,12 @@ def hypergraph_clustering_loads(
 
 def app_cost_model(app: str, base: CostModel) -> CostModel:
     """Per-app constant overrides. HC is vertex-state heavy (4× per-vertex
-    work); MF payloads are larger on the wire (neighbour lists)."""
+    work); every other app uses ``base``."""
     if app == "HC":
         return CostModel(
             c_msg=base.c_msg,
             c_remote=base.c_remote,
             c_vertex=4.0 * base.c_vertex,
-            bytes_per_unit=base.bytes_per_unit,
-        )
-    if app == "MF":
-        return CostModel(
-            c_msg=base.c_msg,
-            c_remote=base.c_remote,
-            c_vertex=base.c_vertex,
             bytes_per_unit=base.bytes_per_unit,
         )
     return base

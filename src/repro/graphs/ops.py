@@ -53,9 +53,12 @@ def vertex_table(edges: DataFrame, dims: tuple[str, ...] = ("unit", "degree")) -
 
 
 def validate_canonical(edges_pdf: pd.DataFrame) -> None:
-    """Assert the pandas edge list is canonical (tests + generator contract)."""
-    assert (edges_pdf.src < edges_pdf.dst).all(), "edges must satisfy src < dst"
-    assert not edges_pdf.duplicated(["src", "dst"]).any(), "duplicate edges"
+    """Raise ``ValueError`` unless the pandas edge list is canonical (tests +
+    generator contract)."""
+    if not (edges_pdf.src < edges_pdf.dst).all():
+        raise ValueError("edges must satisfy src < dst")
+    if edges_pdf.duplicated(["src", "dst"]).any():
+        raise ValueError("duplicate edges")
 
 
 def induced_edges(edges: DataFrame, members: DataFrame) -> DataFrame:

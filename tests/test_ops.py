@@ -98,7 +98,7 @@ def test_counts(small_graph):
 
 
 def test_validate_canonical_rejects_bad():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="src < dst"):
         ops.validate_canonical(pd.DataFrame({"src": [2], "dst": [1]}))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="duplicate edges"):
         ops.validate_canonical(pd.DataFrame({"src": [1, 1], "dst": [2, 2]}))

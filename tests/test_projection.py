@@ -259,6 +259,27 @@ def test_exact_d2_hypothesis_vs_dykstra(seed, n, eps):
     assert np.linalg.norm(x_exact - y) <= np.linalg.norm(x_true - y) + 2e-4
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_project_exact_every_coordinate_fixed_on_the_face(d):
+    """No free coordinate and the fixed sum exactly on a slab face: the
+    equality solve has no breakpoint, and the answer is ``x_fixed``."""
+    n = 40
+    W = np.ones((n, d))
+    b = 0.05 * W.sum(axis=0)
+    fixed = np.ones(n, bool)
+    x_fixed = np.concatenate([np.ones(21), -np.ones(19)])
+    x = P.project_exact(np.zeros(n), W, b, fixed, x_fixed)
+    assert np.array_equal(x, x_fixed)
+
+
+def test_exact_rejects_negative_weights():
+    y = np.zeros(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        P.exact_d1(y, np.array([1.0, -1.0, 1.0]), 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        P.exact_d2(y, np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
+
+
 def test_project_exact_dispatch():
     rng = np.random.default_rng(14)
     y, W1, b1 = _rand_instance(rng, 20, 1, eps=0.05)

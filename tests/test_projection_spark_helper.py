@@ -1,14 +1,16 @@
-"""Tests for the sequential-λ helper behind the distributed projection.
+"""Tests for the sequential-λ helper behind both GD engines' projections.
 
-The helper must reproduce *exactly* the sequential plane/slab projections of
-the numpy one-shot alternating method — that identity is what makes the Spark
-and local GD trajectories coincide (verified end-to-end in test_spark_gd).
+The helper must reproduce *exactly* the sequential plane/slab projections on
+the vector — that identity is what makes the Spark and local GD trajectories
+coincide (verified end-to-end in test_spark_gd). ``one_shot_alternating`` is
+the helper applied to a numpy vector, so it is checked against the same
+sequential projections.
 """
 import numpy as np
 import pytest
 
 from repro.core import projection_np as P
-from repro.core.projection_spark import sequential_lambdas
+from repro.core.projection_np import sequential_lambdas
 
 
 def _apply(y, W, lam, free):
@@ -102,3 +104,63 @@ def test_slab_noop_when_inside():
     b = np.array([5.0])
     lam = sequential_lambdas(W.T @ y, W.T @ W, b, target="slab")
     assert lam[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _sequential_then_clip(y, W, b, fixed, x_fixed, target):
+    """Reference one-shot pass: the d primitive projections, then the box."""
+    x = y.copy()
+    for j in range(W.shape[1]):
+        if target == "plane":
+            x = P.project_plane(x, W[:, j], 0.0, fixed)
+        else:
+            x = P.project_slab(x, W[:, j], float(b[j]), fixed)
+    return P.clip_box(x, fixed, x_fixed)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("target", ["plane", "slab"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_shot_matches_sequential_projections_then_clip(d, target, masked, seed):
+    rng = np.random.default_rng(200 + seed)
+    n = 40
+    y = rng.normal(0.3, 1.5, n)  # off-centre, so the slab faces are active too
+    W = rng.uniform(0.1, 2.0, (n, d))
+    W[rng.random((n, d)) < 0.1] = 0.0
+    b = 0.05 * W.sum(axis=0)
+    fixed = x_fixed = None
+    if masked:
+        fixed = rng.random(n) < 0.3
+        x_fixed = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+
+    got = P.one_shot_alternating(y, W, b, fixed, x_fixed, target)
+    want = _sequential_then_clip(y, W, b, fixed, x_fixed, target)
+    assert np.allclose(got, want, atol=1e-10)
+    if masked:
+        assert np.array_equal(got[fixed], x_fixed[fixed])
+
+
+def test_final_slab_lambdas_stops_when_feasible():
+    D = np.eye(2)
+    b = np.array([1.0, 2.0])
+    assert P.final_slab_lambdas(np.array([1.0, -2.0]), D, b) is None
+    # Within the relative tolerance 1e-9·(1+|b|) of the faces.
+    assert P.final_slab_lambdas(np.array([1.0 + 1e-9, 0.0]), D, b) is None
+
+
+def test_final_slab_lambdas_stops_when_lambda_negligible():
+    # Outside the slab, but no free coordinate can move.
+    assert P.final_slab_lambdas(np.array([5.0]), np.zeros((1, 1)), np.array([1.0])) is None
+    # Outside the slab by less than 1e-7 after scaling by a large Gram.
+    assert P.final_slab_lambdas(np.array([1.1]), np.array([[1e7]]), np.array([1.0])) is None
+
+
+def test_final_slab_lambdas_is_the_slab_solve_otherwise():
+    rng = np.random.default_rng(11)
+    W = rng.uniform(0.1, 2.0, (30, 2))
+    y = rng.normal(1.0, 1.0, 30)
+    b = 0.05 * W.sum(axis=0)
+    s, D = W.T @ y, W.T @ W
+    lam = P.final_slab_lambdas(s, D, b)
+    assert lam is not None
+    assert np.array_equal(lam, sequential_lambdas(s, D, b, target="slab"))
