@@ -35,6 +35,7 @@ from pyspark.sql import functions as F
 
 from repro.core.params import GDParams
 from repro.core.projection_np import FINAL_PROJECT_ITERS, final_slab_lambdas, sequential_lambdas
+from repro.core.rounding import round_to_halves
 from repro.graphs.ops import symmetrize
 
 
@@ -120,7 +121,13 @@ def gd_relax_spark(
 
     ``x0`` (pandas ``[id, x]``) overrides the zero start — used by tests to
     cross-check against the numpy reference without sampling noise twice.
+    The one-shot projection (§3.1) is the only one a step can take from its
+    observed scalars, so any other ``params.projection`` raises ``ValueError``.
     """
+    if params.projection != "one_shot":
+        raise ValueError(
+            f"the Spark engine runs only the one_shot projection, got {params.projection!r}"
+        )
     spark = edges.sparkSession
     wcols = _weight_cols(vertices)
     d = len(wcols)
@@ -214,28 +221,17 @@ def _final_alternating(state: DataFrame, m: dict, wcols: list[str], b: np.ndarra
     return state
 
 
-def gd_bipartition_spark(
-    edges: DataFrame,
-    vertices: DataFrame,
-    params: GDParams,
-    x0: pd.DataFrame | None = None,
-) -> DataFrame:
+def gd_bipartition_spark(edges: DataFrame, vertices: DataFrame, params: GDParams) -> DataFrame:
     """Full distributed GD 2-partitioner; returns assignment ``[id, part]``.
 
     Rounding + repair run on the driver over the collected fractional vector
     (an O(n log n + n·d + flips·d) pass, like the paper's centralized
     λ-search; see DESIGN.md §3).
     """
-    from repro.core.rounding import repair_balance, round_randomized
-
-    spark = edges.sparkSession
     wcols = _weight_cols(vertices)
-    frac = gd_relax_spark(edges, vertices, params, x0)
+    frac = gd_relax_spark(edges, vertices, params)
     pdf = frac.select("id", *wcols, "x").toPandas().sort_values("id")
-    x = pdf["x"].to_numpy()
     W = pdf[wcols].to_numpy(dtype=float)
-    rng = np.random.default_rng(params.seed + 1)
-    signs = round_randomized(x, rng)
-    signs = repair_balance(signs, x, W, params.eps)
-    out = pd.DataFrame({"id": pdf["id"].to_numpy(), "part": ((signs + 1) // 2).astype("int64")})
-    return spark.createDataFrame(out)
+    part = round_to_halves(pdf["x"].to_numpy(), W, params.eps, params.seed)
+    out = pd.DataFrame({"id": pdf["id"].to_numpy(), "part": part})
+    return edges.sparkSession.createDataFrame(out)

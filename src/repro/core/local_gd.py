@@ -18,6 +18,7 @@ import pandas as pd
 
 from repro.core import projection_np as P
 from repro.core.params import GDHistory, GDParams
+from repro.core.rounding import round_to_halves
 
 
 def _symmetric_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +133,5 @@ def gd_bipartition_local(
 
     Returns parts in {0, 1} (part 1 ⇔ rounded to +1) and the GD history.
     """
-    from repro.core.rounding import repair_balance, round_randomized
-
     x, hist = gd_relax_local(edges, W, params)
-    rng = np.random.default_rng(params.seed + 1)
-    signs = round_randomized(x, rng)
-    signs = repair_balance(signs, x, W, params.eps)
-    return ((signs + 1) // 2).astype(np.int64), hist
+    return round_to_halves(x, W, params.eps, params.seed), hist

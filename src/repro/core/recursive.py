@@ -9,16 +9,16 @@ Weights are computed **once** on the full graph and carried down: balancing
 sub-partitions on *original* degrees is what equalizes worker load, since a
 worker's message volume includes cut edges.
 
-The top ``spark_levels`` of the recursion run the distributed GD; deeper
-(smaller) sub-problems run the identical numpy reference solver — the standard
-small-subproblem cutoff of distributed partitioners (DESIGN.md §3). The engine
-switch collects the node's graph once: where a Spark node's children run
-locally, its halves, its vertex weights and its edges come to the driver in
-three small collects, and both halves are split and finished in numpy by the
-same descent that ``partition_k_local`` uses. With ``spark_levels <= 0`` the
-whole graph is collected the same way before any bisection.
+There is one recursion, on numpy. ``partition_k_spark`` can run its top
+bisection on the distributed GD; every smaller sub-problem runs the identical
+numpy reference solver — the standard small-subproblem cutoff of distributed
+partitioners (DESIGN.md §3). The graph comes to the driver once, in two
+small collects (vertex weights and edges, plus the halves after a Spark top
+bisection), and the rest of the recursion splits it in numpy.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pandas as pd
@@ -28,7 +28,6 @@ from pyspark.sql import functions as F
 from repro.core.gd import gd_bipartition_spark
 from repro.core.local_gd import gd_bipartition_local
 from repro.core.params import GDParams
-from repro.graphs.ops import induced_edges
 
 
 def _check_k(k: int) -> None:
@@ -37,11 +36,12 @@ def _check_k(k: int) -> None:
 
 
 def _level_params(params: GDParams, levels: int, path: int) -> GDParams:
-    p = GDParams(**{**params.__dict__})
-    p.eps = params.eps / levels
-    p.seed = params.seed * 1000003 + path
-    p.record_history = False
-    return p
+    return dataclasses.replace(
+        params,
+        eps=params.eps / levels,
+        seed=params.seed * 1000003 + path,
+        record_history=False,
+    )
 
 
 def _reindex(edges: pd.DataFrame, members: np.ndarray) -> pd.DataFrame:
@@ -112,51 +112,28 @@ def partition_k_spark(
     k: int,
     params: GDParams,
     spark_levels: int = 1,
-    _levels: int | None = None,
-    _path: int = 0,
 ) -> DataFrame:
-    """Recursive GD with the top ``spark_levels`` bisections distributed.
+    """Recursive GD over Spark inputs: with ``spark_levels=1`` the top
+    bisection runs on Spark, with ``spark_levels=0`` every bisection runs on
+    numpy.
 
     Returns an assignment DataFrame ``[id, part]`` with parts 0..k-1.
     """
     _check_k(k)
-    spark = edges.sparkSession
-    wcols = sorted(c for c in vertices.columns if c.startswith("w_"))
+    if spark_levels not in (0, 1):
+        raise ValueError(f"spark_levels must be 0 or 1, got {spark_levels}")
     if k == 1:
         return vertices.select("id", F.lit(0).cast("long").alias("part"))
-    levels = int(np.log2(k)) if _levels is None else _levels
-
-    if spark_levels <= 0:
-        ids, W, epdf = _collect(edges, vertices, wcols)
-        parts = partition_k_local(epdf, W, k, params, levels, _path)
-        return spark.createDataFrame(pd.DataFrame({"id": ids, "part": parts}))
-
-    halves = gd_bipartition_spark(edges, vertices, _level_params(params, levels, _path))
-    if k == 2:
-        return halves
+    levels = int(np.log2(k))
     if spark_levels == 1:
-        # Both children run locally: collect this node's graph once.
-        ids, W, epdf = _collect(edges, vertices, wcols)
+        halves = gd_bipartition_spark(edges, vertices, _level_params(params, levels, 0))
+        if k == 2:
+            return halves
+    wcols = sorted(c for c in vertices.columns if c.startswith("w_"))
+    ids, W, epdf = _collect(edges, vertices, wcols)
+    if spark_levels == 1:
         side = halves.toPandas().sort_values("id")["part"].to_numpy()
-        parts = _descend_local(epdf, W, side, k, params, levels, _path)
-        return spark.createDataFrame(pd.DataFrame({"id": ids, "part": parts}))
-
-    pieces = []
-    for side in (0, 1):
-        side_vertices = vertices.join(
-            halves.filter(F.col("part") == side).select("id"), "id"
-        )
-        side_edges = induced_edges(edges, side_vertices)
-        sub = partition_k_spark(
-            side_edges,
-            side_vertices,
-            k // 2,
-            params,
-            spark_levels - 1,
-            levels,
-            _path * 2 + side + 1,
-        )
-        pieces.append(
-            sub.select("id", (F.lit(side * (k // 2)) + F.col("part")).alias("part"))
-        )
-    return pieces[0].unionByName(pieces[1])
+        parts = _descend_local(epdf, W, side, k, params, levels, 0)
+    else:
+        parts = partition_k_local(epdf, W, k, params)
+    return edges.sparkSession.createDataFrame(pd.DataFrame({"id": ids, "part": parts}))

@@ -67,3 +67,12 @@ def repair_balance(
         used[i] = True
         flips += 1
     return signs
+
+
+def round_to_halves(x: np.ndarray, W: np.ndarray, eps: float, seed: int) -> np.ndarray:
+    """Parts in {0, 1} of fractional ``x`` (part 1 ⇔ rounded to +1): the
+    randomized rounding drawn from ``default_rng(seed + 1)``, then
+    ``repair_balance``. Both GD engines finish a bisection with it."""
+    signs = round_randomized(x, np.random.default_rng(seed + 1))
+    signs = repair_balance(signs, x, W, eps)
+    return ((signs + 1) // 2).astype(np.int64)

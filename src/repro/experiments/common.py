@@ -1,12 +1,11 @@
 """Shared plumbing for the per-table/per-figure experiment harnesses."""
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.params import GDParams
-from repro.core.recursive import partition_k_local, partition_k_spark
+from repro.core.recursive import partition_k_spark
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
 
@@ -42,19 +41,6 @@ def gd_assignment(
     if engine == "local":
         return partition_k_spark(edges, vt, k, params, spark_levels=0)
     return partition_k_spark(edges, vt, k, params, spark_levels=1)
-
-
-def gd_assignment_local(
-    edges_pdf: pd.DataFrame, n: int, k: int, mode: str, params: GDParams
-) -> np.ndarray:
-    """Pure-numpy GD partition for driver-side sweeps (Figs 8-10)."""
-    deg = np.bincount(
-        np.concatenate([edges_pdf.src.to_numpy(), edges_pdf.dst.to_numpy()]),
-        minlength=n,
-    ).astype(float)
-    cols = {"vertex": [np.ones(n)], "edge": [deg], "vertex-edge": [np.ones(n), deg]}[mode]
-    W = np.column_stack(cols)
-    return partition_k_local(edges_pdf, W, k, params)
 
 
 def print_table(title: str, df: pd.DataFrame) -> None:

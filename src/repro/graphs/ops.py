@@ -59,24 +59,3 @@ def validate_canonical(edges_pdf: pd.DataFrame) -> None:
         raise ValueError("edges must satisfy src < dst")
     if edges_pdf.duplicated(["src", "dst"]).any():
         raise ValueError("duplicate edges")
-
-
-def induced_edges(edges: DataFrame, members: DataFrame) -> DataFrame:
-    """Edges of the subgraph induced by ``members`` (a DataFrame with ``id``)."""
-    m = members.select("id")
-    return (
-        edges.join(m.withColumnRenamed("id", "src"), "src")
-        .join(m.withColumnRenamed("id", "dst"), "dst")
-        .select("src", "dst")
-    )
-
-
-def counts(edges: DataFrame) -> tuple[int, int]:
-    """(n_vertices, n_edges) of a canonical edge list."""
-    n = (
-        edges.select(F.col("src").alias("id"))
-        .unionByName(edges.select(F.col("dst").alias("id")))
-        .distinct()
-        .count()
-    )
-    return n, edges.count()

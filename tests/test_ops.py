@@ -67,36 +67,6 @@ def test_vertex_table_unknown_dim(small_graph):
         ops.vertex_table(sdf, dims=("unit", "pagerank"))
 
 
-def test_induced_edges(small_graph, spark):
-    pdf, sdf = small_graph
-    members = spark.createDataFrame(pd.DataFrame({"id": range(100)}))
-    got = ops.induced_edges(sdf, members).toPandas()
-    want = pdf[(pdf.src < 100) & (pdf.dst < 100)]
-    assert len(got) == len(want)
-    assert set(map(tuple, got.values)) == set(map(tuple, want.values))
-
-
-def test_induced_edges_duckdb(small_graph, spark):
-    pdf, sdf = small_graph
-    members = pd.DataFrame({"id": range(0, 200, 2)})
-    got = ops.induced_edges(sdf, spark.createDataFrame(members))
-    assert_equivalent(
-        got,
-        """
-        SELECT e.src, e.dst FROM edges e
-        JOIN members a ON e.src = a.id JOIN members b ON e.dst = b.id
-        """,
-        edges=pdf,
-        members=members,
-    )
-
-
-def test_counts(small_graph):
-    pdf, sdf = small_graph
-    n, m = ops.counts(sdf)
-    assert n == 200 and m == len(pdf)
-
-
 def test_validate_canonical_rejects_bad():
     with pytest.raises(ValueError, match="src < dst"):
         ops.validate_canonical(pd.DataFrame({"src": [2], "dst": [1]}))

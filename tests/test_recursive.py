@@ -111,7 +111,7 @@ def test_spark_k2_equals_bipartition_shape(graph4, spark):
     assert set(r["part"] for r in assign.select("part").distinct().collect()) == {0, 1}
 
 
-@pytest.mark.parametrize("spark_levels", [0, 1, 2])
+@pytest.mark.parametrize("spark_levels", [0, 1])
 def test_spark_k4_isolated_vertex_gets_one_part(graph4, spark, spark_levels):
     """A vertex in no edge still gets exactly one part in [0, k)."""
     spec, edges = graph4
@@ -124,6 +124,32 @@ def test_spark_k4_isolated_vertex_gets_one_part(graph4, spark, spark_levels):
     ).toPandas()
     assert sorted(assign["id"]) == list(range(iso + 1))
     assert assign["part"].between(0, 3).all()
+
+
+@pytest.mark.parametrize("spark_levels", [2, -1])
+def test_spark_levels_must_be_0_or_1(graph4, spark, spark_levels):
+    _, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    vt = vertex_table(sdf)
+    with pytest.raises(ValueError, match="spark_levels must be 0 or 1"):
+        partition_k_spark(sdf, vt, 4, GDParams(n_iter=2), spark_levels)
+
+
+def test_spark_levels_0_equals_local_on_reindexed_graph(graph4, spark):
+    """With spark_levels=0 the Spark entry point partitions exactly the graph
+    that partition_k_local gets once the ids are sorted to 0..n-1, an isolated
+    vertex included."""
+    spec, edges = graph4
+    # Vertex i gets id 3i+7 and the isolated vertex id 5, the smallest: on the
+    # driver it is vertex 0, and vertex i is vertex i+1.
+    sdf = gen.to_spark(spark, 3 * edges + 7)
+    vt = vertex_table(sdf)
+    vt = vt.unionByName(spark.createDataFrame([(5, 0, 1.0, 0.0)], vt.schema))
+    params = GDParams(n_iter=20, eps=0.08, seed=7)
+    got = partition_k_spark(sdf, vt, 4, params, spark_levels=0).toPandas().sort_values("id")
+    W = np.vstack([[1.0, 0.0], _weights(edges, spec.n)])
+    assert got["id"].tolist() == [5] + [3 * i + 7 for i in range(spec.n)]
+    assert np.array_equal(got["part"].to_numpy(), partition_k_local(edges + 1, W, 4, params))
 
 
 def test_spark_k4_descent_costs_at_most_three_jobs(graph4, spark):

@@ -98,6 +98,15 @@ def test_spark_gd_requires_weight_columns(graph, spark):
         gd_relax_spark(sdf, bad_vt, GDParams(n_iter=1))
 
 
+@pytest.mark.parametrize("projection", ["exact", "dykstra", "alternating"])
+def test_spark_gd_rejects_projection_it_cannot_run(graph, projection):
+    """The Spark step takes only the one-shot projection; any other method
+    raises instead of quietly running one-shot."""
+    _, _, sdf, vt = graph
+    with pytest.raises(ValueError, match="one_shot"):
+        gd_relax_spark(sdf, vt, GDParams(n_iter=1, projection=projection))
+
+
 def test_spark_gd_noise_is_randn_on_vertex_table(graph):
     """The t=0 noise is ``F.randn(seed)·σ`` drawn on the vertex table itself,
     so one GD step from it equals the numpy step from that same noise."""
