@@ -1,13 +1,15 @@
-"""Distributed GD (Algorithm 1) on Spark DataFrames.
+"""Distributed GD (Algorithm 1) on Spark DataFrames: the iterate of the loop
+``local_gd.relax``, which both engines share.
 
 The iterate is one checkpointed DataFrame
-``[id, w_0.., x, x_prev, fixed, nbrs, grad]``: each vertex row holds its own
-state, its adjacency array ``nbrs`` (null for a vertex without edges) and the
-gradient ``grad = (Ax)_id = Σ_{u∈N(id)} x_u`` of its ``x``. This is the
+``[id, w_0.., x, step2, fixed, nbrs, grad]``: each vertex row holds its own
+state, the square of its last step ``step2`` (see ``GDParams.adaptive``), its
+adjacency array ``nbrs`` (null for a vertex without edges) and the gradient
+``grad = (Ax)_id = Σ_{u∈N(id)} x_u`` of its ``x``. This is the
 vertex-centric layout of Pregel/GraphX (Gonzalez et al., OSDI'14). One GD
 iteration is one Spark plan with one shuffle:
 
-1. a narrow ``select`` applies the previous step's projected update
+1. a narrow ``select`` applies the projected update
    ``x ← clip(x + γ·grad − Σ_j λ_j w_j)`` and vertex fixing,
 2. ``explode(nbrs)`` emits one message ``(dst, x)`` per directed edge,
 3. the messages and the vertex rows are unioned and grouped by ``id`` (the
@@ -15,16 +17,14 @@ iteration is one Spark plan with one shuffle:
 4. ``localCheckpoint(eager=True)`` materialises the new iterate and truncates
    its lineage, while ``observe`` takes every scalar the driver needs in the
    same pass: ``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
-   ``‖grad‖²_free``, the previous step length and the number of free
-   vertices.
+   ``‖grad‖²_free``, the step length and the number of free vertices.
 
 With adaptive execution that is two Spark jobs (the shuffle's map stage and
-the checkpoint). The loop stops once no vertex is free: a fixed coordinate
-keeps its ``x`` in every later projection, so the remaining steps could not
-change the output. Only O(d²) scalars reach the driver per iteration, matching
-the paper's distributed model (Theorem 1.1); the final rounding collects the
-fractional vector, which is the same O(n) driver pass the paper performs
-centrally for the projection's λ-search.
+the checkpoint); ``relax``'s stopping rules read only these scalars. Only
+O(d²) scalars reach the driver per iteration, matching the paper's
+distributed model (Theorem 1.1); the final rounding collects the fractional
+vector, the same O(n) driver pass the paper performs centrally for the
+projection's λ-search.
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
+from repro.core.local_gd import Moments, relax
 from repro.core.params import GDParams
-from repro.core.projection_np import FINAL_PROJECT_ITERS, final_slab_lambdas, sequential_lambdas
 from repro.core.rounding import round_to_halves
 from repro.graphs.ops import symmetrize
 
@@ -47,10 +47,10 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
 
 
 def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
-    """Aggregates feeding the λ-solve: ``a_j = ⟨w_j, x⟩`` and the free Gram
-    matrix ``D_j_l``; with the gradient also ``g_j = ⟨w_j, grad⟩_free``,
-    ``gn2 = ‖grad‖²_free``, ``prog2 = ‖x − x_prev‖²`` and the number of free
-    vertices ``n_free``."""
+    """Aggregates of the iterate that ``relax`` reads (``local_gd.Moments``):
+    ``a_j = ⟨w_j, x⟩``, the free Gram matrix ``D_j_l``, the squared step
+    length ``step2`` and the number of free vertices ``n_free``; with the
+    gradient also ``g_j = ⟨w_j, grad⟩_free`` and ``gn2 = ‖grad‖²_free``."""
     free = ~F.col("fixed")
 
     def free_sum(e: Column, name: str) -> Column:
@@ -65,19 +65,19 @@ def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
             aggs.append(free_sum(F.col(cj) * F.col(wcols[l]), f"D_{j}_{l}"))
     if with_grad:
         aggs.append(free_sum(F.col("grad") ** 2, "gn2"))
-        aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
-        aggs.append(F.sum((~F.col("fixed")).cast("long")).alias("n_free"))
+    aggs.append(F.sum("step2").alias("step2"))
+    aggs.append(F.sum(free.cast("long")).alias("n_free"))
     return aggs
 
 
-def _gram(m: dict, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(a, D)`` out of the observed moments ``m``."""
-    a = np.array([float(m[f"a_{j}"]) for j in range(d)])
-    D = np.zeros((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            D[j, l] = D[l, j] = float(m[f"D_{j}_{l}"])
-    return a, D
+def _parse(m: dict, d: int) -> Moments:
+    """``Moments`` out of the observed aggregates ``m`` (without ``grad``, 0s)."""
+    def vec(key: str) -> np.ndarray:
+        return np.array([float(m.get(f"{key}_{j}", 0.0)) for j in range(d)])
+
+    D = np.array([[float(m[f"D_{min(j, l)}_{max(j, l)}"]) for l in range(d)] for j in range(d)])
+    return Moments(vec("a"), D, vec("g"), float(np.sqrt(m.get("gn2", 0.0))),
+                   float(np.sqrt(m["step2"])), int(m["n_free"]))
 
 
 def _checkpoint(df: DataFrame, aggs: list[Column]) -> tuple[DataFrame, dict]:
@@ -128,34 +128,30 @@ def gd_relax_spark(
         raise ValueError(
             f"the Spark engine runs only the one_shot projection, got {params.projection!r}"
         )
-    spark = edges.sparkSession
     wcols = _weight_cols(vertices)
     d = len(wcols)
 
     state = vertices.select("id", *wcols)
     if x0 is not None:
-        state = state.join(
-            spark.createDataFrame(x0[["id", "x"]]), "id", "left"
-        ).withColumn("x", F.coalesce(F.col("x"), F.lit(0.0)))
+        x0_df = edges.sparkSession.createDataFrame(x0[["id", "x"]])
+        state = state.join(x0_df, "id", "left").withColumn("x", F.coalesce("x", F.lit(0.0)))
+        prev = F.col("x")
     else:
         # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise. It is drawn on
         # the vertex table itself, before any join, so it depends only on the
         # seed and on the vertex table's own partitioning.
         sigma = params.noise_sigma_mult / params.n_iter
         state = state.withColumn("x", F.randn(params.seed) * F.lit(sigma))
+        prev = F.lit(0.0)
     nbrs = (
         symmetrize(edges)
         .groupBy(F.col("src").alias("id"))
         .agg(F.collect_list("dst").alias("nbrs"))
     )
-    state = (
-        state.withColumn("x_prev", F.col("x"))
-        .withColumn("fixed", F.lit(False))
-        .join(nbrs, "id", "left")
-    )
+    state = state.withColumns({"step2": F.lit(0.0), "fixed": F.lit(False)}).join(nbrs, "id", "left")
     # Column expressions are built once: each costs py4j calls on the driver.
     passthrough = [
-        F.first(c, ignorenulls=True).alias(c) for c in (*wcols, "x", "x_prev", "fixed", "nbrs")
+        F.first(c, ignorenulls=True).alias(c) for c in (*wcols, "x", "step2", "fixed", "nbrs")
     ]
     step_moments, last_moments = _moments(wcols), _moments(wcols, False)
     totals = [F.sum(c).alias(f"total_{j}") for j, c in enumerate(wcols)]
@@ -164,61 +160,34 @@ def gd_relax_spark(
         step_moments + totals + [F.count(F.lit(1)).alias("n")],
     )
     b = params.eps * np.array([float(m[f"total_{j}"]) for j in range(d)])
-    target_len = params.step_mult * np.sqrt(m["n"]) / params.n_iter
 
-    gamma: float | None = None
-    for t in range(params.n_iter):
-        if m["n_free"] == 0:
-            # Fixed coordinates keep their x in every projection, the final
-            # one included, so no later step can change the output.
-            break
-        prev_step = float(np.sqrt(max(m["prog2"], 0.0)))
-        if not params.adaptive or gamma is None:
-            # Fixed step length: renormalize against the current gradient.
-            gamma = target_len / max(float(np.sqrt(max(m["gn2"], 0.0))), 1e-12)
-        elif prev_step > 1e-12:
-            gamma *= float(np.clip(target_len / prev_step, 0.5, 2.0))
-
-        a, D = _gram(m, d)
-        g = np.array([float(m[f"g_{j}"]) for j in range(d)])
-        lam = sequential_lambdas(a + gamma * g, D, b, params.projection_target)
-
+    def step(gamma: float, lam: np.ndarray, fix: bool, last: bool) -> Moments:
+        nonlocal state, prev
         x_next = _projected(wcols, lam, F.lit(gamma) * F.col("grad"))
+        step2 = (x_next - prev) ** 2
         fixed = F.col("fixed")
-        if params.fixing and t >= params.fix_start:
+        if fix:
             newly = ~fixed & (F.abs(x_next) >= params.fix_threshold)
             x_next = F.when(newly, F.signum(x_next)).otherwise(x_next)
             fixed = fixed | newly
         nxt = state.select(
-            "id", *wcols, x_next.alias("x"), F.col("x").alias("x_prev"),
-            fixed.alias("fixed"), "nbrs",
+            "id", *wcols, x_next.alias("x"), step2.alias("step2"), fixed.alias("fixed"), "nbrs"
         )
-        if t + 1 < params.n_iter:
-            state, m = _checkpoint(_with_gradient(nxt, passthrough), step_moments)
-        else:
-            # The last iterate needs no gradient: one narrow pass.
-            state, m = _checkpoint(nxt.select("id", *wcols, "x", "fixed"), last_moments)
+        prev = F.col("x")
+        # The last iterate needs no gradient: one narrow pass.
+        nxt = nxt.drop("nbrs") if last else _with_gradient(nxt, passthrough)
+        state, moments = _checkpoint(nxt, last_moments if last else step_moments)
+        return _parse(moments, d)
 
-    if params.final_project:
-        state = _final_alternating(state, m, wcols, b)
+    def shift(lam: np.ndarray) -> Moments:
+        nonlocal state
+        state, moments = _checkpoint(
+            state.withColumn("x", _projected(wcols, lam, F.lit(0.0))), last_moments
+        )
+        return _parse(moments, d)
+
+    relax(_parse(m, d), b, m["n"], params, step, shift)
     return state.select("id", *wcols, "x", "fixed")
-
-
-def _final_alternating(state: DataFrame, m: dict, wcols: list[str], b: np.ndarray) -> DataFrame:
-    """Slab projections of the free coordinates until the point is feasible,
-    before rounding — repairs the imbalance accumulated by one-shot
-    projections (§3.1, Fig 9). The λ and the stopping rule are
-    ``final_slab_lambdas``, shared with the numpy engine.
-
-    ``m`` holds the moments of ``state``; each round takes those of its own
-    result on that result's checkpoint."""
-    moments = _moments(wcols, False)
-    for _ in range(FINAL_PROJECT_ITERS):
-        lam = final_slab_lambdas(*_gram(m, len(wcols)), b)
-        if lam is None:
-            break
-        state, m = _checkpoint(state.withColumn("x", _projected(wcols, lam, F.lit(0.0))), moments)
-    return state
 
 
 def gd_bipartition_spark(edges: DataFrame, vertices: DataFrame, params: GDParams) -> DataFrame:

@@ -1,7 +1,7 @@
 """Reference (single-machine numpy) implementation of Algorithm 1.
 
-This mirrors the distributed implementation exactly — same update formulas,
-same projection choices — and serves three purposes:
+Its loop, ``relax``, is also the Spark engine's, so the two engines take the
+same steps. The numpy engine serves three purposes:
 
 1. ground truth for cross-checking the Spark implementation on small graphs,
 2. the sub-problem solver inside deep recursive partitioning (DESIGN.md §3),
@@ -13,12 +13,65 @@ weight matrix ``W`` of shape (n, d).
 """
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pandas as pd
 
 from repro.core import projection_np as P
 from repro.core.params import GDHistory, GDParams
 from repro.core.rounding import round_to_halves
+
+
+class Moments(NamedTuple):
+    """What ``relax`` reads of an iterate ``x`` with gradient ``grad = Ax``."""
+
+    a: np.ndarray  # ⟨w_j, x⟩
+    D: np.ndarray  # free Gram matrix Σ_free w_j w_l
+    g: np.ndarray  # ⟨w_j, grad⟩ over free coordinates
+    gnorm: float  # ‖grad‖ over free coordinates
+    step: float  # length of the step that reached x (see GDParams.adaptive)
+    n_free: int
+
+
+def relax(m: Moments, b: np.ndarray, n: int, params: GDParams,
+          step: Callable[[float, np.ndarray, bool, bool], Moments],
+          shift: Callable[[np.ndarray], Moments]) -> None:
+    """Algorithm 1's loop (§3.2) from a start point with moments ``m``, for
+    ``n`` vertices and slab half-widths ``b``. The engine keeps the iterate:
+    ``step(γ, λ, fix, last)`` sets the free ``x ← clip(x + γ·grad − Σ_j λ_j w_j)``
+    and fixes ``|x| ≥ fix_threshold`` at ``sign(x)`` if ``fix`` (after the
+    ``last`` step no one reads the gradient); ``shift(λ)`` sets the free
+    ``x ← clip(x − Σ_j λ_j w_j)``. Both return the new iterate's moments."""
+    target_len = params.step_mult * np.sqrt(n) / params.n_iter
+    gamma: float | None = None
+    for t in range(params.n_iter):
+        if m.n_free == 0:
+            # A fixed coordinate keeps its x in every projection, the final
+            # one included, so no later step can change the output.
+            break
+        if not params.adaptive or gamma is None:
+            # Fixed step length (Fig 8): ‖γ·grad‖ = target_len at every step;
+            # the adaptive mode feeds back the realized step length (§3.2).
+            gamma = target_len / max(m.gnorm, 1e-12)
+        lam = P.sequential_lambdas(m.a + gamma * m.g, m.D, b)
+        fix = params.fixing and t >= params.fix_start
+        n_free = m.n_free
+        m = step(gamma, lam, fix, t + 1 == params.n_iter)
+        if params.adaptive and m.step > 1e-12:
+            gamma *= float(np.clip(target_len / m.step, 0.5, 2.0))
+        if t > 0 and m.step == 0.0 and m.n_free == n_free and (fix or not params.fixing):
+            # x, the fixed set and γ are those this step started from, and
+            # noise comes only at t=0: every later step would repeat it.
+            break
+    if params.final_project:
+        # One-shot projections drift slightly out of K; finish with slab
+        # projections of the free coordinates until x is feasible (§3.1).
+        for _ in range(P.FINAL_PROJECT_ITERS):
+            lam = P.final_slab_lambdas(m.a, m.D, b)
+            if lam is None:
+                break
+            m = shift(lam)
 
 
 def _symmetric_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -35,71 +88,67 @@ def fractional_locality(edges: pd.DataFrame, x: np.ndarray) -> float:
     return float(np.mean((x[s] * x[d] + 1.0) * 0.5))
 
 
-def _project(y, W, b, method, target, fixed, x_fixed):
-    if method == "one_shot":
-        return P.one_shot_alternating(y, W, b, fixed, x_fixed, target)
-    if method == "alternating":
-        return P.alternating(y, W, b, fixed, x_fixed, target=target)
-    if method == "dykstra":
-        return P.dykstra(y, W, b, fixed, x_fixed)
-    return P.project_exact(y, W, b, fixed, x_fixed)
-
-
 def gd_relax_local(
     edges: pd.DataFrame,
     W: np.ndarray,
     params: GDParams,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, GDHistory]:
-    """Run the continuous GD relaxation; returns final fractional ``x`` and
-    (optionally populated) per-iteration history.
+    """Run the continuous GD relaxation (``relax``) on numpy arrays; returns
+    final fractional ``x`` and (optionally populated) per-iteration history.
 
-    The loop stops once every vertex is fixed; the history still has
-    ``n_iter`` entries."""
-    n, d = W.shape
+    The one-shot step applies ``relax``'s λ; the other projections ignore it
+    and project ``x + γ·grad`` themselves. ``x0`` replaces the noisy zero
+    start. The loop may stop early; the history still has ``n_iter``
+    entries."""
+    n = len(W)
     sym_src, sym_dst = _symmetric_arrays(edges)
     b = params.eps * W.sum(axis=0)
-    rng = np.random.default_rng(params.seed)
     hist = GDHistory()
-
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
+    prev = np.zeros(n) if x0 is None else x0.astype(float).copy()
+    x = prev
+    if x0 is None:
+        # Escape the saddle at x=0 (noise only at t=0, §3.2).
+        x = np.random.default_rng(params.seed).normal(0.0, params.noise_sigma_mult / params.n_iter, n)
     fixed = np.zeros(n, dtype=bool)
-    target_len = params.step_mult * np.sqrt(n) / params.n_iter
-    gamma: float | None = None
+    free = W_free = grad = None
 
-    for t in range(params.n_iter):
-        z = x.copy()
-        if t == 0 and x0 is None:
-            # Escape the saddle at x=0 (noise only at t=0, §3.2).
-            z[~fixed] += rng.normal(0.0, params.noise_sigma_mult / params.n_iter, (~fixed).sum())
-        grad = np.bincount(sym_dst, weights=z[sym_src], minlength=n)
-        gnorm = float(np.linalg.norm(grad[~fixed]))
-        if not params.adaptive or gamma is None:
-            # Fixed step LENGTH (Fig 8): normalize every iteration so
-            # ‖γ·grad‖ = target_len; the adaptive mode instead feeds back the
-            # realized post-projection progress (§3.2).
-            gamma = target_len / max(gnorm, 1e-12)
-        y = z.copy()
-        y[~fixed] = z[~fixed] + gamma * grad[~fixed]
-        x_new = _project(y, W, b, params.projection, params.projection_target, fixed, x)
-        step = float(np.linalg.norm(x_new - x))
-        if params.adaptive and step > 1e-12:
-            gamma *= float(np.clip(target_len / step, 0.5, 2.0))
-        x = x_new
-        if params.fixing and t >= params.fix_start:
-            newly = (~fixed) & (np.abs(x) >= params.fix_threshold)
+    def moments(step_len: float) -> Moments:
+        nonlocal free, W_free, grad
+        free = np.flatnonzero(~fixed)  # row indices: ``take`` beats a boolean mask
+        W_free = W.take(free, axis=0)
+        grad = np.bincount(sym_dst, weights=x[sym_src], minlength=n)[free]
+        return Moments(W.T @ x, W_free.T @ W_free, W_free.T @ grad,
+                       float(np.linalg.norm(grad)), step_len, len(free))
+
+    def step(gamma: float, lam: np.ndarray, fix: bool, last: bool) -> Moments:
+        nonlocal x, prev
+        y = x.copy()
+        if params.projection == "one_shot":
+            y[free] = np.clip(x[free] + gamma * grad - W_free @ lam, -1.0, 1.0)
+        else:
+            y[free] += gamma * grad
+            project = {"alternating": P.alternating, "dykstra": P.dykstra}
+            y = project.get(params.projection, P.project_exact)(y, W, b, fixed, x)
+        step_len = float(np.linalg.norm(y - prev))
+        x = prev = y
+        if fix:
+            newly = ~fixed & (np.abs(x) >= params.fix_threshold)
             x[newly] = np.sign(x[newly])
-            fixed |= newly
+            fixed[newly] = True
+        m = moments(step_len)
         if params.record_history:
             hist.locality.append(fractional_locality(edges, x))
-            s = W.T @ x
-            hist.max_imbalance.append(float(np.max(np.abs(s) / np.maximum(W.sum(axis=0), 1e-12))))
-            hist.step_len.append(step)
+            hist.max_imbalance.append(float(np.max(np.abs(m.a) / np.maximum(W.sum(axis=0), 1e-12))))
+            hist.step_len.append(step_len)
             hist.n_fixed.append(int(fixed.sum()))
-        if fixed.all():
-            # A fixed coordinate keeps its x in every projection, the final
-            # one included, so no later step can change the output.
-            break
+        return m
+
+    def shift(lam: np.ndarray) -> Moments:
+        x[free] = np.clip(x[free] - W_free @ lam, -1.0, 1.0)
+        return moments(0.0)
+
+    relax(moments(0.0), b, n, params, step, shift)
 
     if params.record_history:
         # The skipped steps would each have recorded a zero step from the
@@ -109,18 +158,6 @@ def gd_relax_local(
         hist.max_imbalance += hist.max_imbalance[-1:] * pad
         hist.step_len += [0.0] * pad
         hist.n_fixed += hist.n_fixed[-1:] * pad
-
-    if params.final_project:
-        # One-shot projections drift slightly out of K; finish with slab
-        # projections of the free coordinates until x is feasible (§3.1).
-        free = ~fixed
-        W_free = W[free]
-        D = W_free.T @ W_free
-        for _ in range(P.FINAL_PROJECT_ITERS):
-            lam = P.final_slab_lambdas(W.T @ x, D, b)
-            if lam is None:
-                break
-            x[free] = np.clip(x[free] - W_free @ lam, -1.0, 1.0)
     return x, hist
 
 

@@ -18,10 +18,10 @@ class GDParams:
       ``√n/n_iter`` (noise is only added at t=0, §3.2).
     - ``projection``: one of ``one_shot`` (default, §3.1), ``alternating``,
       ``dykstra``, ``exact``.
-    - ``projection_target``: ``plane`` projects balance constraints to
-      ``⟨w,x⟩=0`` (paper §3.1); ``slab`` projects to the ε-face.
-    - ``adaptive``: rescale γ_t so realized ‖x_{t+1}−x_t‖ tracks the target
-      step length (§3.2).
+    - ``adaptive``: rescale γ_t so the realized step length tracks the target
+      step length (§3.2). The step length is ``‖x_{t+1} − x_t‖``, measured
+      after the projection and before fixing; at t=0 ``x_t`` is the start
+      point before the noise.
     - ``fixing``: freeze near-integral coordinates (|x| ≥ ``fix_threshold``)
       after ``fix_start_frac`` of the iterations (§3.2).
     - ``final_project``: project on the slab faces until feasible before
@@ -33,7 +33,6 @@ class GDParams:
     step_mult: float = 2.0
     noise_sigma_mult: float = 1.0
     projection: str = "one_shot"
-    projection_target: str = "plane"
     adaptive: bool = True
     fixing: bool = True
     fix_threshold: float = 0.999
@@ -45,8 +44,6 @@ class GDParams:
     def __post_init__(self) -> None:
         if self.projection not in {"one_shot", "alternating", "dykstra", "exact"}:
             raise ValueError(f"unknown projection method {self.projection!r}")
-        if self.projection_target not in {"plane", "slab"}:
-            raise ValueError(f"unknown projection target {self.projection_target!r}")
 
     @property
     def fix_start(self) -> int:

@@ -40,11 +40,8 @@ def run_fig10(
 
     rows = []
     for eps in eps_values:
-        for method, target in (("exact", "slab"), ("one_shot", "plane")):
-            p = GDParams(
-                n_iter=n_iter, eps=eps, projection=method,
-                projection_target=target, seed=seed,
-            )
+        for method in ("exact", "one_shot"):
+            p = GDParams(n_iter=n_iter, eps=eps, projection=method, seed=seed)
             parts, _ = gd_bipartition_local(pdf, W, p)
             loc = float(np.mean(parts[s] == parts[d]))
             signs = 2.0 * parts - 1.0

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import projection_np as P
 from repro.core.local_gd import fractional_locality, gd_bipartition_local, gd_relax_local
 from repro.core.params import GDParams
 from repro.graphs import generators as gen
@@ -87,6 +88,32 @@ def test_gd_history_recorded(community_graph):
     assert hist.locality[-1] > hist.locality[0] - 0.05  # non-degrading trend
 
 
+def test_gd_stops_at_a_fixed_point(monkeypatch):
+    """Once fixing is on, a step of length 0 that fixes no vertex leaves x,
+    the fixed set and γ as they were, so the loop stops there although a
+    vertex is still free: fewer exact projections, the returned x is that
+    step's output, and the history is padded with the same zero step."""
+    spec = gen.GraphSpec(n=100, avg_degree=8, levels=1, mu_cross=0.1, seed=3)
+    edges = gen.generate_edges(spec)
+    p = GDParams(n_iter=30, projection="exact", seed=3, final_project=False, record_history=True)
+    outputs = []
+
+    def recording(*args):
+        outputs.append(original(*args))
+        return outputs[-1]
+
+    original = P.project_exact
+    monkeypatch.setattr(P, "project_exact", recording)
+    x, hist = gd_relax_local(edges, _weights(edges, spec.n), p)
+    t0 = next(t for t in range(p.fix_start, p.n_iter)
+              if hist.step_len[t] == 0.0 and hist.n_fixed[t] == hist.n_fixed[t - 1])
+    assert hist.n_fixed[t0] < spec.n
+    assert len(outputs) == t0 + 1 < p.n_iter
+    assert np.array_equal(x, outputs[-1])
+    assert hist.step_len[t0:] == [0.0] * (p.n_iter - t0)
+    assert hist.n_fixed[t0:] == [hist.n_fixed[t0]] * (p.n_iter - t0)
+
+
 def test_noise_escapes_saddle(community_graph):
     """Without noise, x=0 is a stationary point of the projected dynamics
     (plane projection of A·0 is 0); with noise GD makes progress."""
@@ -164,8 +191,3 @@ def test_d4_dimensions_run():
 def test_invalid_projection_param():
     with pytest.raises(ValueError):
         GDParams(projection="magic")
-
-
-def test_invalid_target_param():
-    with pytest.raises(ValueError):
-        GDParams(projection_target="cube")

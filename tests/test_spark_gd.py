@@ -159,6 +159,7 @@ def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeyp
     [
         (GDParams(n_iter=5, final_project=False, fixing=False, seed=0), 1e-6),
         (GDParams(n_iter=8, final_project=True, fixing=True, fix_start_frac=0.5, seed=0), 1e-5),
+        (GDParams(n_iter=8, fix_start_frac=0.0, fix_threshold=0.3, final_project=False, seed=0), 1e-6),
     ],
 )
 def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
