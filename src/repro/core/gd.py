@@ -17,7 +17,8 @@ iteration is one Spark plan with one shuffle:
 4. ``localCheckpoint(eager=True)`` materialises the new iterate and truncates
    its lineage, while ``observe`` takes every scalar the driver needs in the
    same pass: ``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
-   ``‖grad‖²_free``, the step length and the number of free vertices.
+   ``‖grad‖²_free``, ``⟨x, grad⟩``, the step length and the number of free
+   vertices.
 
 With adaptive execution that is two Spark jobs (the shuffle's map stage and
 the checkpoint); ``relax``'s stopping rules read only these scalars. Only
@@ -50,7 +51,8 @@ def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
     """Aggregates of the iterate that ``relax`` reads (``local_gd.Moments``):
     ``a_j = ⟨w_j, x⟩``, the free Gram matrix ``D_j_l``, the squared step
     length ``step2`` and the number of free vertices ``n_free``; with the
-    gradient also ``g_j = ⟨w_j, grad⟩_free`` and ``gn2 = ‖grad‖²_free``."""
+    gradient also ``g_j = ⟨w_j, grad⟩_free``, ``gn2 = ‖grad‖²_free`` and
+    ``xax = ⟨x, grad⟩``."""
     free = ~F.col("fixed")
 
     def free_sum(e: Column, name: str) -> Column:
@@ -65,6 +67,7 @@ def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
             aggs.append(free_sum(F.col(cj) * F.col(wcols[l]), f"D_{j}_{l}"))
     if with_grad:
         aggs.append(free_sum(F.col("grad") ** 2, "gn2"))
+        aggs.append(F.sum(F.col("x") * F.col("grad")).alias("xax"))
     aggs.append(F.sum("step2").alias("step2"))
     aggs.append(F.sum(free.cast("long")).alias("n_free"))
     return aggs
@@ -77,7 +80,7 @@ def _parse(m: dict, d: int) -> Moments:
 
     D = np.array([[float(m[f"D_{min(j, l)}_{max(j, l)}"]) for l in range(d)] for j in range(d)])
     return Moments(vec("a"), D, vec("g"), float(np.sqrt(m.get("gn2", 0.0))),
-                   float(np.sqrt(m["step2"])), int(m["n_free"]))
+                   float(m.get("xax", 0.0)), float(np.sqrt(m["step2"])), int(m["n_free"]))
 
 
 def _checkpoint(df: DataFrame, aggs: list[Column]) -> tuple[DataFrame, dict]:

@@ -19,37 +19,43 @@ import numpy as np
 import pandas as pd
 
 from repro.core import projection_np as P
-from repro.core.params import GDHistory, GDParams
+from repro.core.params import GDParams
 from repro.core.rounding import round_to_halves
 
 
 class Moments(NamedTuple):
-    """What ``relax`` reads of an iterate ``x`` with gradient ``grad = Ax``."""
+    """What ``relax`` reads of an iterate ``x`` with gradient ``grad = Ax``,
+    and what its trace records of each step."""
 
     a: np.ndarray  # ⟨w_j, x⟩
     D: np.ndarray  # free Gram matrix Σ_free w_j w_l
     g: np.ndarray  # ⟨w_j, grad⟩ over free coordinates
     gnorm: float  # ‖grad‖ over free coordinates
+    xax: float  # ⟨x, grad⟩: fractional locality is 0.5 + xax/(4|E|) (§2.1)
     step: float  # length of the step that reached x (see GDParams.adaptive)
     n_free: int
 
 
 def relax(m: Moments, b: np.ndarray, n: int, params: GDParams,
           step: Callable[[float, np.ndarray, bool, bool], Moments],
-          shift: Callable[[np.ndarray], Moments]) -> None:
+          shift: Callable[[np.ndarray], Moments]) -> list[Moments]:
     """Algorithm 1's loop (§3.2) from a start point with moments ``m``, for
     ``n`` vertices and slab half-widths ``b``. The engine keeps the iterate:
     ``step(γ, λ, fix, last)`` sets the free ``x ← clip(x + γ·grad − Σ_j λ_j w_j)``
     and fixes ``|x| ≥ fix_threshold`` at ``sign(x)`` if ``fix`` (after the
     ``last`` step no one reads the gradient); ``shift(λ)`` sets the free
-    ``x ← clip(x − Σ_j λ_j w_j)``. Both return the new iterate's moments."""
+    ``x ← clip(x − Σ_j λ_j w_j)``. Both return the new iterate's moments.
+
+    Returns the run's trace: the moments after each of the ``n_iter`` steps,
+    before the final projection. A step that an early stop skips is recorded
+    as the last entry with length 0."""
     target_len = params.step_mult * np.sqrt(n) / params.n_iter
     gamma: float | None = None
-    for t in range(params.n_iter):
-        if m.n_free == 0:
-            # A fixed coordinate keeps its x in every projection, the final
-            # one included, so no later step can change the output.
-            break
+    trace: list[Moments] = []
+    t = 0
+    # A fixed coordinate keeps its x in every projection, the final one
+    # included, so once no vertex is free no later step can change the output.
+    while t < params.n_iter and m.n_free > 0:
         if not params.adaptive or gamma is None:
             # Fixed step length (Fig 8): ‖γ·grad‖ = target_len at every step;
             # the adaptive mode feeds back the realized step length (§3.2).
@@ -58,12 +64,18 @@ def relax(m: Moments, b: np.ndarray, n: int, params: GDParams,
         fix = params.fixing and t >= params.fix_start
         n_free = m.n_free
         m = step(gamma, lam, fix, t + 1 == params.n_iter)
+        trace.append(m)
         if params.adaptive and m.step > 1e-12:
             gamma *= float(np.clip(target_len / m.step, 0.5, 2.0))
-        if t > 0 and m.step == 0.0 and m.n_free == n_free and (fix or not params.fixing):
+        if t > 0 and m.step == 0.0 and m.n_free == n_free:
             # x, the fixed set and γ are those this step started from, and
-            # noise comes only at t=0: every later step would repeat it.
-            break
+            # noise comes only at t=0: every later step repeats it until
+            # fixing starts, and once it has started, to the end.
+            t = min(params.fix_start, params.n_iter) if params.fixing and not fix else params.n_iter
+            trace += [m] * (t - len(trace))
+        else:
+            t += 1
+    trace += [m._replace(step=0.0)] * (params.n_iter - len(trace))
     if params.final_project:
         # One-shot projections drift slightly out of K; finish with slab
         # projections of the free coordinates until x is feasible (§3.1).
@@ -72,6 +84,7 @@ def relax(m: Moments, b: np.ndarray, n: int, params: GDParams,
             if lam is None:
                 break
             m = shift(lam)
+    return trace
 
 
 def _symmetric_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -93,18 +106,16 @@ def gd_relax_local(
     W: np.ndarray,
     params: GDParams,
     x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, GDHistory]:
+) -> tuple[np.ndarray, list[Moments]]:
     """Run the continuous GD relaxation (``relax``) on numpy arrays; returns
-    final fractional ``x`` and (optionally populated) per-iteration history.
+    final fractional ``x`` and ``relax``'s trace of ``n_iter`` moments.
 
     The one-shot step applies ``relax``'s λ; the other projections ignore it
     and project ``x + γ·grad`` themselves. ``x0`` replaces the noisy zero
-    start. The loop may stop early; the history still has ``n_iter``
-    entries."""
+    start."""
     n = len(W)
     sym_src, sym_dst = _symmetric_arrays(edges)
     b = params.eps * W.sum(axis=0)
-    hist = GDHistory()
     prev = np.zeros(n) if x0 is None else x0.astype(float).copy()
     x = prev
     if x0 is None:
@@ -117,9 +128,10 @@ def gd_relax_local(
         nonlocal free, W_free, grad
         free = np.flatnonzero(~fixed)  # row indices: ``take`` beats a boolean mask
         W_free = W.take(free, axis=0)
-        grad = np.bincount(sym_dst, weights=x[sym_src], minlength=n)[free]
+        full = np.bincount(sym_dst, weights=x[sym_src], minlength=n)
+        grad = full[free]
         return Moments(W.T @ x, W_free.T @ W_free, W_free.T @ grad,
-                       float(np.linalg.norm(grad)), step_len, len(free))
+                       float(np.linalg.norm(grad)), float(x @ full), step_len, len(free))
 
     def step(gamma: float, lam: np.ndarray, fix: bool, last: bool) -> Moments:
         nonlocal x, prev
@@ -136,39 +148,24 @@ def gd_relax_local(
             newly = ~fixed & (np.abs(x) >= params.fix_threshold)
             x[newly] = np.sign(x[newly])
             fixed[newly] = True
-        m = moments(step_len)
-        if params.record_history:
-            hist.locality.append(fractional_locality(edges, x))
-            hist.max_imbalance.append(float(np.max(np.abs(m.a) / np.maximum(W.sum(axis=0), 1e-12))))
-            hist.step_len.append(step_len)
-            hist.n_fixed.append(int(fixed.sum()))
-        return m
+        return moments(step_len)
 
     def shift(lam: np.ndarray) -> Moments:
         x[free] = np.clip(x[free] - W_free @ lam, -1.0, 1.0)
         return moments(0.0)
 
-    relax(moments(0.0), b, n, params, step, shift)
-
-    if params.record_history:
-        # The skipped steps would each have recorded a zero step from the
-        # same point.
-        pad = params.n_iter - len(hist.step_len)
-        hist.locality += hist.locality[-1:] * pad
-        hist.max_imbalance += hist.max_imbalance[-1:] * pad
-        hist.step_len += [0.0] * pad
-        hist.n_fixed += hist.n_fixed[-1:] * pad
-    return x, hist
+    trace = relax(moments(0.0), b, n, params, step, shift)
+    return x, trace
 
 
 def gd_bipartition_local(
     edges: pd.DataFrame,
     W: np.ndarray,
     params: GDParams,
-) -> tuple[np.ndarray, GDHistory]:
+) -> tuple[np.ndarray, list[Moments]]:
     """Full GD 2-partitioner: relaxation + rounding + repair.
 
-    Returns parts in {0, 1} (part 1 ⇔ rounded to +1) and the GD history.
+    Returns parts in {0, 1} (part 1 ⇔ rounded to +1) and the GD trace.
     """
-    x, hist = gd_relax_local(edges, W, params)
-    return round_to_halves(x, W, params.eps, params.seed), hist
+    x, trace = gd_relax_local(edges, W, params)
+    return round_to_halves(x, W, params.eps, params.seed), trace

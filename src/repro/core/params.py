@@ -1,7 +1,7 @@
 """Hyper-parameters of Algorithm 1 (GD), defaults per paper §4.3."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -9,7 +9,10 @@ class GDParams:
     """Parameters of the projected-gradient-descent partitioner.
 
     - ``n_iter``: iteration budget ``I`` (paper uses 100 at FB scale; quality
-      plateaus much earlier at our graph sizes).
+      plateaus much earlier at our graph sizes). The run trace that
+      ``local_gd.relax`` returns has ``n_iter`` entries, one ``Moments`` per
+      step (Fig 9), also when the loop skips steps that cannot change ``x``
+      (DESIGN.md §3).
     - ``eps``: balance tolerance; slab half-width is ``eps · Σ_i w_i^(j)``.
     - ``step_mult``: target step length is ``step_mult · √n / n_iter``
       (Fig 8: ``2·√n/100`` is a good choice at I=100).
@@ -39,7 +42,6 @@ class GDParams:
     fix_start_frac: float = 0.7
     final_project: bool = True
     seed: int = 0
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         if self.projection not in {"one_shot", "alternating", "dykstra", "exact"}:
@@ -49,12 +51,3 @@ class GDParams:
     def fix_start(self) -> int:
         return int(self.fix_start_frac * self.n_iter)
 
-
-@dataclass
-class GDHistory:
-    """Per-iteration diagnostics (Fig 9 traces)."""
-
-    locality: list = field(default_factory=list)
-    max_imbalance: list = field(default_factory=list)
-    step_len: list = field(default_factory=list)
-    n_fixed: list = field(default_factory=list)

@@ -42,22 +42,21 @@ def run_fig9(
         np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=spec.n
     ).astype(float)
     W = np.column_stack([np.ones(spec.n), deg])
+    total = W.sum(axis=0)
     rows = []
     for vname, flags in VARIANTS.items():
-        p = GDParams(
-            n_iter=n_iter, eps=0.05, seed=seed, record_history=True,
-            final_project=False, **flags,
-        )
-        _, hist = gd_relax_local(pdf, W, p)
+        p = GDParams(n_iter=n_iter, eps=0.05, seed=seed, final_project=False, **flags)
+        _, trace = gd_relax_local(pdf, W, p)
         for frac in (0.25, 0.5, 0.75, 1.0):
-            t = int(frac * n_iter) - 1
+            t = int(frac * n_iter)
+            m = trace[t - 1]
             rows.append(
                 {
                     "variant": vname,
-                    "iteration": t + 1,
-                    "locality_pct": round(100 * hist.locality[t], 1),
-                    "max_imbalance": round(hist.max_imbalance[t], 4),
-                    "n_fixed": hist.n_fixed[t],
+                    "iteration": t,
+                    "locality_pct": round(100 * (0.5 + m.xax / (4 * len(pdf))), 1),
+                    "max_imbalance": round(float(np.max(np.abs(m.a) / total)), 4),
+                    "n_fixed": spec.n - m.n_free,
                 }
             )
     return pd.DataFrame(rows)

@@ -81,21 +81,27 @@ def test_gd_deterministic_in_seed(community_graph):
 
 def test_gd_history_recorded(community_graph):
     edges, W = community_graph
-    p = GDParams(n_iter=12, seed=0, record_history=True)
-    _, hist = gd_relax_local(edges, W, p)
-    assert len(hist.locality) == 12
-    assert len(hist.step_len) == 12
-    assert hist.locality[-1] > hist.locality[0] - 0.05  # non-degrading trend
+    p = GDParams(n_iter=12, seed=0)
+    _, trace = gd_relax_local(edges, W, p)
+    assert len(trace) == 12
+    locality = [0.5 + m.xax / (4 * len(edges)) for m in trace]
+    assert locality[-1] > locality[0] - 0.05  # non-degrading trend
+
+
+def _fixed_point_graph():
+    spec = gen.GraphSpec(n=100, avg_degree=8, levels=1, mu_cross=0.1, seed=3)
+    edges = gen.generate_edges(spec)
+    return spec, edges, _weights(edges, spec.n)
 
 
 def test_gd_stops_at_a_fixed_point(monkeypatch):
-    """Once fixing is on, a step of length 0 that fixes no vertex leaves x,
-    the fixed set and γ as they were, so the loop stops there although a
-    vertex is still free: fewer exact projections, the returned x is that
-    step's output, and the history is padded with the same zero step."""
-    spec = gen.GraphSpec(n=100, avg_degree=8, levels=1, mu_cross=0.1, seed=3)
-    edges = gen.generate_edges(spec)
-    p = GDParams(n_iter=30, projection="exact", seed=3, final_project=False, record_history=True)
+    """A step of length 0 that fixes no vertex leaves x, the fixed set and γ
+    as they were. Before fixing starts the loop jumps to its start; once it
+    has started the loop stops there although a vertex is still free. Fewer
+    exact projections run, the returned x is the last one's output, and the
+    trace repeats the zero step for every step skipped."""
+    spec, edges, W = _fixed_point_graph()
+    p = GDParams(n_iter=30, projection="exact", seed=3, final_project=False)
     outputs = []
 
     def recording(*args):
@@ -104,14 +110,54 @@ def test_gd_stops_at_a_fixed_point(monkeypatch):
 
     original = P.project_exact
     monkeypatch.setattr(P, "project_exact", recording)
-    x, hist = gd_relax_local(edges, _weights(edges, spec.n), p)
+    x, trace = gd_relax_local(edges, W, p)
+    step_len = [m.step for m in trace]
+    n_fixed = [spec.n - m.n_free for m in trace]
+    t1 = next(t for t in range(1, p.fix_start) if step_len[t] == 0.0)
     t0 = next(t for t in range(p.fix_start, p.n_iter)
-              if hist.step_len[t] == 0.0 and hist.n_fixed[t] == hist.n_fixed[t - 1])
-    assert hist.n_fixed[t0] < spec.n
-    assert len(outputs) == t0 + 1 < p.n_iter
+              if step_len[t] == 0.0 and n_fixed[t] == n_fixed[t - 1])
+    assert n_fixed[t0] < spec.n
+    assert len(outputs) == (t1 + 1) + (t0 + 1 - p.fix_start) < p.n_iter
     assert np.array_equal(x, outputs[-1])
-    assert hist.step_len[t0:] == [0.0] * (p.n_iter - t0)
-    assert hist.n_fixed[t0:] == [hist.n_fixed[t0]] * (p.n_iter - t0)
+    assert step_len[t1:p.fix_start] == [0.0] * (p.fix_start - t1)
+    assert n_fixed[t1:p.fix_start] == [0] * (p.fix_start - t1)
+    assert step_len[t0:] == [0.0] * (p.n_iter - t0)
+    assert n_fixed[t0:] == [n_fixed[t0]] * (p.n_iter - t0)
+
+
+@pytest.mark.parametrize(
+    "kw, steps",
+    [
+        # every vertex is fixed by the first step
+        (dict(fix_start_frac=0.0, fix_threshold=0.0), 1),
+        # a fixed point with fixing off: the loop stops at the first zero step
+        (dict(projection="exact", fixing=False), 15),
+        # the jump from the first zero step to fixing's start, then a fixed point
+        (dict(projection="exact"), 17),
+    ],
+    ids=["all-fixed", "fixed-point", "jump"],
+)
+def test_trace_matches_the_iterate_after_an_early_stop(monkeypatch, kw, steps):
+    """The trace has n_iter entries whichever rule stops the loop, and its last
+    entry gives x's fractional locality and imbalance."""
+    _, edges, W = _fixed_point_graph()
+    p = GDParams(n_iter=30, seed=3, final_project=False, **kw)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    original = P.sequential_lambdas
+    monkeypatch.setattr(P, "sequential_lambdas", counting)
+    x, trace = gd_relax_local(edges, W, p)
+    assert len(calls) == steps
+    assert len(trace) == p.n_iter
+    total = W.sum(axis=0)
+    assert 0.5 + trace[-1].xax / (4 * len(edges)) == pytest.approx(
+        fractional_locality(edges, x), abs=1e-12)
+    assert np.max(np.abs(trace[-1].a) / total) == pytest.approx(
+        np.max(np.abs(W.T @ x) / total), abs=1e-12)
 
 
 def test_noise_escapes_saddle(community_graph):

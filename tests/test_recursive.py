@@ -164,3 +164,24 @@ def test_spark_k4_descent_costs_at_most_three_jobs(graph4, spark):
     bisect, _ = count_jobs(spark, lambda: gd_bipartition_spark(sdf, vt, _level_params(params, 2, 0)))
     kway, _ = count_jobs(spark, lambda: partition_k_spark(sdf, vt, 4, params, spark_levels=1))
     assert kway - bisect <= 3
+
+
+@pytest.mark.parametrize("spark_levels", [0, 1])
+def test_spark_requires_weight_columns(graph4, spark, spark_levels):
+    """Both engines reject a vertex table without ``w_*`` columns the same way."""
+    _, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    bad_vt = vertex_table(sdf).select("id", "degree")
+    with pytest.raises(ValueError, match="no weight columns"):
+        partition_k_spark(sdf, bad_vt, 4, GDParams(n_iter=2), spark_levels)
+
+
+def test_spark_rejects_edge_endpoint_missing_from_vertex_table(graph4, spark):
+    """An edge to a vertex outside the vertex table raises instead of being
+    relabelled onto the next vertex."""
+    _, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    missing = int(edges.dst.iloc[0])
+    vt = vertex_table(sdf).where(f"id != {missing}")
+    with pytest.raises(ValueError, match="missing from the vertex table"):
+        partition_k_spark(sdf, vt, 4, GDParams(n_iter=2), spark_levels=0)

@@ -8,8 +8,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import metrics
+from repro.core import gd
 from repro.core.gd import gd_bipartition_spark, gd_relax_spark
-from repro.core.local_gd import gd_relax_local
+from repro.core.local_gd import gd_relax_local, relax
 from repro.core.params import GDParams
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
@@ -180,7 +181,7 @@ def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
 def test_gd_stops_once_every_vertex_is_fixed(graph, spark):
     """With fixing from the first step at threshold 0, every vertex is fixed
     after one step. The Spark loop then stops: 3 and 12 iterations cost the
-    same jobs and give the same x, which matches numpy. The numpy history
+    same jobs and give the same x, which matches numpy. The numpy trace
     still has one entry per iteration, ending in zero steps."""
     spec, pdf, sdf, vt = graph
     W = _W_from_vt(vt)
@@ -203,8 +204,43 @@ def test_gd_stops_once_every_vertex_is_fixed(graph, spark):
     assert jobs12 == jobs3
     assert np.array_equal(x12, x3)
 
-    x_local, hist = gd_relax_local(pdf, W, params(12, record_history=True), x0=x0)
+    x_local, trace = gd_relax_local(pdf, W, params(12), x0=x0)
     assert np.allclose(x12, x_local, atol=1e-5)
-    assert len(hist.step_len) == len(hist.locality) == len(hist.n_fixed) == 12
-    assert hist.step_len[0] > 0 and hist.step_len[1:] == [0.0] * 11
-    assert hist.n_fixed == [spec.n] * 12
+    assert len(trace) == 12
+    assert trace[0].step > 0 and [m.step for m in trace[1:]] == [0.0] * 11
+    assert [spec.n - m.n_free for m in trace] == [spec.n] * 12
+
+
+@pytest.mark.parametrize(
+    "params, last_ran",
+    [
+        (GDParams(n_iter=5, final_project=False, fixing=False, seed=0), True),
+        # every vertex is fixed by the first step, so the loop stops there
+        (GDParams(n_iter=6, fix_start_frac=0.0, fix_threshold=0.0, final_project=False, seed=0), False),
+    ],
+)
+def test_spark_trace_matches_numpy(graph, monkeypatch, params, last_ran):
+    """relax returns n_iter trace entries for the Spark engine too, equal to
+    numpy's. Spark takes no gradient after the last step, so there ⟨x, Ax⟩
+    reads 0."""
+    spec, pdf, sdf, vt = graph
+    traces = []
+
+    def recording(*args):
+        traces.append(relax(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(gd, "relax", recording)
+    x0 = np.random.default_rng(3).uniform(-0.02, 0.02, spec.n)
+    _, local = gd_relax_local(pdf, _W_from_vt(vt), params, x0=x0)
+    gd_relax_spark(sdf, vt, params, x0=pd.DataFrame({"id": np.arange(spec.n), "x": x0}))
+    (spark_trace,) = traces
+    assert len(spark_trace) == len(local) == params.n_iter
+    assert [m.n_free for m in spark_trace] == [m.n_free for m in local]
+    for field in ("a", "step"):
+        got = np.array([getattr(m, field) for m in spark_trace])
+        assert np.allclose(got, [getattr(m, field) for m in local], rtol=1e-9, atol=1e-9)
+    xax = [m.xax for m in local]
+    if last_ran:
+        xax[-1] = 0.0
+    assert np.allclose([m.xax for m in spark_trace], xax, rtol=1e-9, atol=1e-9)
