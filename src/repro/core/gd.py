@@ -110,7 +110,6 @@ def _with_gradient(state: DataFrame, passthrough: list[Column]) -> DataFrame:
         state.unionByName(msgs, allowMissingColumns=True)
         .groupBy("id")
         .agg(*passthrough, F.coalesce(F.sum("msg"), F.lit(0.0)).alias("grad"))
-        .where(F.col("fixed").isNotNull())  # messages to ids outside the vertex table
     )
 
 
@@ -151,7 +150,9 @@ def gd_relax_spark(
         .groupBy(F.col("src").alias("id"))
         .agg(F.collect_list("dst").alias("nbrs"))
     )
-    state = state.withColumns({"step2": F.lit(0.0), "fixed": F.lit(False)}).join(nbrs, "id", "left")
+    # A full join keeps the ids found only in the edges: their rows have a
+    # null ``fixed``, which the start checkpoint counts.
+    state = state.withColumns({"step2": F.lit(0.0), "fixed": F.lit(False)}).join(nbrs, "id", "full")
     # Column expressions are built once: each costs py4j calls on the driver.
     passthrough = [
         F.first(c, ignorenulls=True).alias(c) for c in (*wcols, "x", "step2", "fixed", "nbrs")
@@ -160,8 +161,15 @@ def gd_relax_spark(
     totals = [F.sum(c).alias(f"total_{j}") for j, c in enumerate(wcols)]
     state, m = _checkpoint(
         _with_gradient(state, passthrough),
-        step_moments + totals + [F.count(F.lit(1)).alias("n")],
+        step_moments + totals + [
+            F.count(F.lit(1)).alias("n"),
+            F.count_if(F.col("fixed").isNull()).alias("n_missing"),
+        ],
     )
+    if m["n_missing"]:
+        raise ValueError(
+            f"edge table has {m['n_missing']} endpoint(s) missing from the vertex table"
+        )
     b = params.eps * np.array([float(m[f"total_{j}"]) for j in range(d)])
 
     def step(gamma: float, lam: np.ndarray, fix: bool, last: bool) -> Moments:

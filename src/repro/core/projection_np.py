@@ -24,10 +24,11 @@ Implemented methods, all pure numpy:
   point of K but not necessarily to the closest one.
 - ``dykstra`` — Dykstra's algorithm over the d slabs + box; converges to the
   *exact* projection (used as ground truth in tests).
-- ``exact_d1`` / ``exact_d2`` / ``project_exact`` — the paper's one-shot
-  KKT-based exact projections (Theorem 1.1): breakpoint walk for d=1
-  (O(n log n)) and nested binary search for d=2 (Appendix A), dispatched over
-  the 3^d sign guesses of §2.2.
+- ``exact_d1`` / ``exact_d2`` / ``project_exact`` — the paper's KKT-based
+  exact projections (Theorem 1.1): breakpoint walk for d=1 (O(n log n)) and,
+  for d=2, the nested search of Appendix A as one monotone search for the
+  slab-1 multiplier over the exact d=1 projection onto slab 2 (no sign
+  guesses: the sign of ⟨w_1, ·⟩ at λ=0 picks the face).
 
 All functions accept a boolean ``fixed`` mask: fixed coordinates never move
 (vertex fixing, §3.2) but still contribute to the balance sums.
@@ -37,6 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 _TOL = 1e-9
+# Bracket doublings of the d=2 search past λ = (‖y‖∞+1)/max w_1 before the
+# slab-1 face counts as out of reach. GD inputs reach it below 3 times that λ;
+# far beyond, y − λ·w_1 keeps too few digits of y to place x.
+_MAX_DOUBLINGS = 24
 
 
 def clip_box(y: np.ndarray, fixed: np.ndarray | None = None, x_fixed: np.ndarray | None = None) -> np.ndarray:
@@ -255,30 +260,15 @@ def exact_d1(
 
     Case λ=0 (box clip already feasible) is detected first; otherwise the
     active slab face is an equality and λ is found by the breakpoint walk.
+    Only free coordinates of positive weight move: fixed ones add their
+    ``⟨w, x_fixed⟩`` to the sum, and zero-weight ones do not affect it.
     """
     if (w < 0).any():
         raise ValueError("weight functions are nonnegative (w: V -> R+)")
-    x0 = clip_box(y, fixed, x_fixed)
-    s = float(np.dot(w, x0))
+    x = clip_box(y, fixed, x_fixed)
+    s = float(np.dot(w, x))
     if abs(s) <= b + _TOL:
-        return x0
-    res = _solve_eq_d1_general(y, w, np.sign(s) * b, fixed, x_fixed)
-    if res is None:  # b exceeds reachable sum — box clip was the answer
-        return x0
-    return res[0]
-
-
-def _solve_eq_d1_general(
-    y: np.ndarray,
-    w: np.ndarray,
-    c: float,
-    fixed: np.ndarray | None = None,
-    x_fixed: np.ndarray | None = None,
-) -> tuple[np.ndarray, float] | None:
-    """Solve min ||x-y|| s.t. box and ``⟨w,x⟩ = c`` exactly; returns (x, λ).
-
-    Only free coordinates of positive weight move: fixed ones add their
-    ``⟨w, x_fixed⟩`` to the sum, and zero-weight ones do not affect it."""
+        return x
     sel = w > 0
     c_off = 0.0
     if fixed is not None:
@@ -286,12 +276,10 @@ def _solve_eq_d1_general(
         if fixed.any():
             c_off = float(np.dot(w[fixed], x_fixed[fixed]))
     y_sub, w_sub = y[sel], w[sel]
-    lam = _solve_lambda_eq(y_sub, w_sub, c - c_off)
-    if lam is None:
-        return None
-    x = clip_box(y, fixed, x_fixed)
-    x[sel] = np.clip(y_sub - lam * w_sub, -1.0, 1.0)
-    return x, lam
+    lam = _solve_lambda_eq(y_sub, w_sub, np.sign(s) * b - c_off)
+    if lam is not None:  # else b exceeds the reachable sum: the box clip
+        x[sel] = np.clip(y_sub - lam * w_sub, -1.0, 1.0)
+    return x
 
 
 def exact_d2(
@@ -302,12 +290,19 @@ def exact_d2(
     x_fixed: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Exact projection onto ``B_inf ∩ S^1 ∩ S^2`` via the 3^2 sign guesses
-    of §2.2; the (±,±) guesses use nested binary search (Appendix A).
+    """Exact projection onto ``B_inf ∩ S^1 ∩ S^2`` by a nested monotone
+    search (Appendix A).
 
-    Every sign guess yields a *feasible* candidate (equality faces lie inside
-    the slabs); the correct guess yields the KKT point, so the closest
-    feasible candidate is the projection.
+    Slab 1 is relaxed with a multiplier λ: ``x(λ) = exact_d1(y − λ·w_1)``
+    onto slab 2 is the exact projection onto ``B_inf ∩ S^2``, so
+    ``φ(λ) = ⟨w_1, x(λ)⟩`` is continuous and non-increasing (a projection
+    is monotone). λ = 0 if ``|φ(0)| ≤ b_1``; otherwise λ solves
+    ``φ(λ) = sign(φ(0))·b_1`` on the side φ(0) points to: a bracket is
+    doubled, then halved, and x is taken at its end inside slab 1, within
+    ``tol`` (Euclidean) of the x that meets the KKT conditions of the
+    projection. Only fixed coordinates can put the face out of reach (K is
+    then empty); x at the last bracket, the point of ``B_inf ∩ S^2`` nearest
+    that face the search reaches, is returned as a best effort.
     """
     if W.shape[1] != 2:
         raise ValueError(f"exact_d2 needs d=2 weight columns, got {W.shape[1]}")
@@ -315,92 +310,35 @@ def exact_d2(
         raise ValueError("weight functions are nonnegative (w: V -> R+)")
     w1, w2 = W[:, 0], W[:, 1]
     b1, b2 = float(b[0]), float(b[1])
-    candidates: list[np.ndarray] = []
 
-    def feasible(x: np.ndarray) -> bool:
-        ftol = 1e-6 * (1.0 + abs(b1) + abs(b2))
-        return (
-            abs(float(np.dot(w1, x))) <= b1 + ftol
-            and abs(float(np.dot(w2, x))) <= b2 + ftol
-            and float(np.abs(x).max(initial=0.0)) <= 1.0 + 1e-9
-        )
+    def x_at(lam: float) -> np.ndarray:
+        return exact_d1(y - lam * w1, w2, b2, fixed, x_fixed)
 
-    # (0,0): plain box clip.
-    x00 = clip_box(y, fixed, x_fixed)
-    if feasible(x00):
-        candidates.append(x00)
-
-    # One active constraint: equality on one slab face, other dropped.
-    for (wa, ba) in ((w1, b1), (w2, b2)):
-        for sign in (1.0, -1.0):
-            res = _solve_eq_d1_general(y, wa, sign * ba, fixed, x_fixed)
-            if res is not None and feasible(res[0]):
-                candidates.append(res[0])
-
-    # Both active: find (λ1, λ2) with h1 = s1·b1 and h2 = s2·b2 by nested
-    # binary search — inner solves λ2 exactly for a given λ1, outer bisects
-    # on λ1 using monotonicity of Δ(λ1) (Definition A.1; direction unknown,
-    # so a sign-change bracket is searched in both directions).
-    def x_at(lam1: float, c2: float) -> np.ndarray | None:
-        """x(λ1, λ2(λ1)) where λ2 enforces ⟨w2,x⟩ = c2. Fixed coordinates
-        keep ``x_fixed``, not their shifted values (``clip_box``)."""
-        res = _solve_eq_d1_general(y - lam1 * w1, w2, c2, fixed, x_fixed)
-        return None if res is None else res[0]
-
-    def delta(lam1: float, c2: float) -> float | None:
-        """Δ(λ1) = ⟨w1, x(λ1, λ2(λ1))⟩."""
-        x = x_at(lam1, c2)
-        return None if x is None else float(np.dot(w1, x))
-
-    scale = float(np.abs(y).max(initial=1.0)) + 1.0
-    wmin = W[W > 0].min() if (W > 0).any() else 1.0
-    lam_max = 4.0 * scale / float(wmin) + 1.0
-
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            c1, c2 = s1 * b1, s2 * b2
-            f = lambda l1: delta(l1, c2)  # noqa: E731
-            f0 = f(0.0)
-            if f0 is None:
-                continue
-            # Bracket a solution of f(λ1) = c1 by geometric expansion.
-            lo, hi = 0.0, 0.0
-            flo = fhi = f0
-            step = max(1e-3, 0.01 * lam_max)
-            found = False
-            while step <= 4.0 * lam_max:
-                lo_c, hi_c = -step, step
-                flo_c, fhi_c = f(lo_c), f(hi_c)
-                if flo_c is None or fhi_c is None:
-                    break
-                if (flo_c - c1) * (fhi_c - c1) <= 0:
-                    lo, hi, flo, fhi = lo_c, hi_c, flo_c, fhi_c
-                    found = True
-                    break
-                step *= 4.0
-            if not found:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm is None:
-                    break
-                if (flo - c1) * (fm - c1) <= 0:
-                    hi, fhi = mid, fm
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < tol * (1.0 + abs(lo) + abs(hi)):
-                    break
-            x = x_at(0.5 * (lo + hi), c2)
-            if x is not None and feasible(x):
-                candidates.append(x)
-
-    if not candidates:
-        # Fall back to Dykstra — should not happen on valid inputs, but keep
-        # the algorithm total.
-        return dykstra(y, W, b, fixed, x_fixed)
-    dists = [float(np.linalg.norm(c - y)) for c in candidates]
-    return candidates[int(np.argmin(dists))]
+    x = x_at(0.0)
+    phi = float(np.dot(w1, x))
+    if abs(phi) <= b1 + _TOL:
+        return x
+    # With λ = sign·t, ψ(t) = sign·φ(λ) is non-increasing from ψ(0) > b_1.
+    sign = float(np.sign(phi))
+    lo, hi = 0.0, 1.0 / float(w1.max())
+    for _ in range(_MAX_DOUBLINGS + int(np.log2(np.abs(y).max() + 1.0))):
+        x = x_at(sign * hi)
+        if sign * float(np.dot(w1, x)) <= b1:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return x
+    # x(λ) moves by at most |Δλ|·‖w_1‖ (a projection is non-expansive), so
+    # the bracket is halved until its feasible end is within tol of the
+    # projection.
+    for _ in range(max(0, int(np.ceil(np.log2((hi - lo) * np.linalg.norm(w1) / tol))))):
+        mid = 0.5 * (lo + hi)
+        x_mid = x_at(sign * mid)
+        if sign * float(np.dot(w1, x_mid)) <= b1:
+            hi, x = mid, x_mid
+        else:
+            lo = mid
+    return x
 
 
 def project_exact(
@@ -410,8 +348,9 @@ def project_exact(
     fixed: np.ndarray | None = None,
     x_fixed: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact projection dispatch: d=1 and d=2 per the paper; d>2 falls back to
-    Dykstra (paper: exact d>2 is an open problem, §5)."""
+    """Exact projection dispatch: ``exact_d1`` for d=1 and its monotone
+    search ``exact_d2`` for d=2; d>2 falls back to Dykstra (paper: exact
+    d>2 is an open problem, §5)."""
     d = W.shape[1]
     if d == 1:
         return exact_d1(y, W[:, 0], float(b[0]), fixed, x_fixed)

@@ -1,6 +1,7 @@
 """Shared plumbing for the per-table/per-figure experiment harnesses."""
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -18,6 +19,15 @@ def build_graph(spark: SparkSession, spec: gen.GraphSpec):
     vt = vertex_table(sdf, dims=("unit", "degree")).cache()
     vt.count()
     return pdf, sdf, vt
+
+
+def degree_weights(edges: pd.DataFrame, n: int) -> np.ndarray:
+    """The numpy weight matrix ``[unit, degree]`` (n, 2) of a canonical edge
+    list over ids 0..n-1."""
+    deg = np.bincount(
+        np.concatenate([edges.src.to_numpy(), edges.dst.to_numpy()]), minlength=n
+    ).astype(float)
+    return np.column_stack([np.ones(n), deg])
 
 
 def gd_assignment(

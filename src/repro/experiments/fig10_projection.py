@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.local_gd import gd_bipartition_local
 from repro.core.params import GDParams
-from repro.experiments.common import print_table
+from repro.experiments.common import degree_weights, print_table
 from repro.graphs import generators as gen
 
 PAPER_FIG10_NOTES = (
@@ -32,10 +32,7 @@ def run_fig10(
 ) -> pd.DataFrame:
     spec = gen.lj_lite(n=n)
     pdf = gen.generate_edges(spec)
-    deg = np.bincount(
-        np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=spec.n
-    ).astype(float)
-    W = np.column_stack([np.ones(spec.n), deg])
+    W = degree_weights(pdf, spec.n)
     s, d = pdf.src.to_numpy(), pdf.dst.to_numpy()
 
     rows = []

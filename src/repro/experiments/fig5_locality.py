@@ -16,7 +16,7 @@ from repro.baselines.blp import blp_partition
 from repro.baselines.hash_part import hash_partition
 from repro.core.params import GDParams
 from repro.core.recursive import partition_k_local
-from repro.experiments.common import build_graph, gd_assignment, print_table
+from repro.experiments.common import build_graph, degree_weights, gd_assignment, print_table
 from repro.graphs import generators as gen
 
 PAPER_FIG5_NOTES = (
@@ -60,10 +60,9 @@ def run_d4_text_claim(
     rows = []
     for gname, preset in (("LiveJournal", gen.lj_lite), ("Orkut", gen.orkut_lite)):
         pdf, sdf, _ = build_graph(spark, preset(n=n))
-        deg = np.bincount(
-            np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=n
-        ).astype(float)
-        W = np.column_stack([np.ones(n), deg, np.sqrt(deg), deg**2])
+        W = degree_weights(pdf, n)
+        deg = W[:, 1]
+        W = np.column_stack([W, np.sqrt(deg), deg**2])
         parts = partition_k_local(
             pdf, W, 2, GDParams(n_iter=gd_iters, eps=0.01, seed=seed)
         )

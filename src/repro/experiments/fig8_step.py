@@ -11,7 +11,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.params import GDParams
-from repro.experiments.common import print_table
+from repro.experiments.common import degree_weights, print_table
 from repro.graphs import generators as gen
 from repro.core.local_gd import gd_bipartition_local, gd_relax_local
 
@@ -33,10 +33,7 @@ def run_fig8(
     for gname, preset in gen.PUBLIC_PRESETS.items():
         spec = preset(n=n)
         pdf = gen.generate_edges(spec)
-        deg = np.bincount(
-            np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=spec.n
-        ).astype(float)
-        W = np.column_stack([np.ones(spec.n), deg])
+        W = degree_weights(pdf, spec.n)
         s, d = pdf.src.to_numpy(), pdf.dst.to_numpy()
         for mult in multipliers:
             p = GDParams(

@@ -310,3 +310,37 @@ def test_paper_observation_dykstra_close_to_exact():
     xd = P.dykstra(y, W, b, tol=1e-12, max_iter=30000)
     xe = P.exact_d2(y, W, b)
     assert np.linalg.norm(xd - xe) < 1e-3 * np.sqrt(80)
+
+
+@pytest.mark.parametrize("b2", [20.0, 2.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_d2_face_out_of_reach_returns_best_effort(sign, b2):
+    """Fixed coordinates put slab 1 out of reach (K is empty): the search
+    returns, fixed coordinates keep ``x_fixed``, and every free coordinate
+    with w_1 > 0 sits at the face's far side while slab 2 holds."""
+    rng = np.random.default_rng(15)
+    n = 20
+    w1 = np.concatenate([np.ones(6), np.full(10, 0.1), np.zeros(4)])
+    W = np.column_stack([w1, np.ones(n)])
+    b = np.array([1.0, b2])
+    fixed = np.arange(n) < 6
+    x_fixed = np.where(fixed, sign, 0.0)
+    y = rng.normal(0, 1.5, n)
+    x = P.exact_d2(y, W, b, fixed, x_fixed)
+    assert np.array_equal(x[fixed], x_fixed[fixed])
+    assert np.array_equal(x[~fixed & (w1 > 0)], np.full(10, -sign))
+    assert abs(float(W[:, 1] @ x)) <= b2 + 1e-9
+    assert np.abs(x).max() <= 1.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_d2_face_out_of_reach_keeps_slab_2(sign):
+    """Slab 1 out of reach where slab 2 binds: the best effort is the point
+    of ``B_inf ∩ S^2`` that minimises sign·⟨w_1, x⟩ (the limit of x(λ)),
+    not one that the rounding of a huge ``y − λ·w_1`` puts outside slab 2."""
+    W = np.array([[3.0, 1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    b = np.array([0.5, 1.0])
+    fixed = np.array([True, False, False, False])
+    y = sign * np.array([0.0, 0.9, 0.9, 0.9])
+    x = P.exact_d2(y, W, b, fixed, np.where(fixed, sign, 0.0))
+    assert np.allclose(x, sign * np.array([1.0, -1.0, -1.0, 1.0 / 3.0]), atol=1e-9)

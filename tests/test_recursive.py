@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro import metrics
+from repro.core import projection_np as P
 from repro.core.gd import gd_bipartition_spark
 from repro.core.params import GDParams
 from repro.core.recursive import _level_params, partition_k_local, partition_k_spark
@@ -185,3 +186,55 @@ def test_spark_rejects_edge_endpoint_missing_from_vertex_table(graph4, spark):
     vt = vertex_table(sdf).where(f"id != {missing}")
     with pytest.raises(ValueError, match="missing from the vertex table"):
         partition_k_spark(sdf, vt, 4, GDParams(n_iter=2), spark_levels=0)
+
+
+def _never_relax(*args, **kwargs):
+    raise AssertionError("the GD loop ran")
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_spark_gd_rejects_edge_endpoint_missing_from_vertex_table(graph4, spark, monkeypatch, k):
+    """The Spark top bisection raises at its start checkpoint, before the
+    first GD step, for an edge to a vertex outside the vertex table."""
+    _, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    missing = int(edges.dst.iloc[0])
+    vt = vertex_table(sdf).where(f"id != {missing}")
+    monkeypatch.setattr("repro.core.gd.relax", _never_relax)
+    params = GDParams(n_iter=4, eps=0.08, seed=4)
+    with pytest.raises(ValueError, match="missing from the vertex table"):
+        gd_bipartition_spark(sdf, vt, params)
+    with pytest.raises(ValueError, match="missing from the vertex table"):
+        partition_k_spark(sdf, vt, k, params, spark_levels=1)
+
+
+def test_spark_gd_rejects_edge_with_both_endpoints_missing(graph4, spark, monkeypatch):
+    spec, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    vt = vertex_table(sdf)
+    extra = pd.DataFrame({"src": [spec.n + 1], "dst": [spec.n + 2]})
+    sdf_extra = gen.to_spark(spark, pd.concat([edges, extra], ignore_index=True))
+    monkeypatch.setattr("repro.core.gd.relax", _never_relax)
+    with pytest.raises(ValueError, match="2 endpoint"):
+        gd_bipartition_spark(sdf_extra, vt, GDParams(n_iter=4, eps=0.08, seed=4))
+
+
+def test_exact_projection_stays_in_K_on_every_call(monkeypatch):
+    """Every exact d=2 projection of a k=8 recursion lands in K; some of its
+    inputs reach |y| ~ 1e7."""
+    spec = gen.fb_lite(n=2000)
+    edges = gen.generate_edges(spec)
+    W = _weights(edges, spec.n)
+    exact_d2 = P.exact_d2
+    excess = []
+
+    def recording(y, W, b, fixed=None, x_fixed=None):
+        x = exact_d2(y, W, b, fixed, x_fixed)
+        excess.append(float((np.abs(W.T @ x) / b).max()) - 1.0)
+        return x
+
+    monkeypatch.setattr(P, "exact_d2", recording)
+    params = GDParams(n_iter=40, eps=0.05, projection="exact", seed=3, fixing=False)
+    partition_k_local(edges, W, 8, params)
+    assert len(excess) > 100
+    assert max(excess) <= 1e-6
