@@ -4,16 +4,18 @@
 The iterate is one checkpointed DataFrame
 ``[id, w_0.., x, step2, fixed, nbrs, grad]``: each vertex row holds its own
 state, the square of its last step ``step2`` (see ``GDParams.adaptive``), its
-adjacency array ``nbrs`` (null for a vertex without edges) and the gradient
+adjacency array ``nbrs`` (empty for a vertex without edges) and the gradient
 ``grad = (Ax)_id = Σ_{u∈N(id)} x_u`` of its ``x``. This is the
 vertex-centric layout of Pregel/GraphX (Gonzalez et al., OSDI'14). One GD
 iteration is one Spark plan with one shuffle:
 
 1. a narrow ``select`` applies the projected update
-   ``x ← clip(x + γ·grad − Σ_j λ_j w_j)`` and vertex fixing,
-2. ``explode(nbrs)`` emits one message ``(dst, x)`` per directed edge,
+   ``x ← clip(x + γ·grad − Σ_j λ_j w_j)`` and vertex fixing, and packs the
+   vertex columns into one struct ``v = struct(w_*, x, step2, fixed, nbrs)``,
+2. ``explode(v.nbrs)`` emits one message ``(dst, x)`` per directed edge,
 3. the messages and the vertex rows are unioned and grouped by ``id`` (the
-   shuffle): the vertex columns pass through, the messages sum to ``grad``,
+   shuffle) with two aggregates: ``first(v)`` passes the vertex through and
+   the messages sum to ``grad``; ``v.*`` unpacks it again,
 4. ``localCheckpoint(eager=True)`` materialises the new iterate and truncates
    its lineage, while ``observe`` takes every scalar the driver needs in the
    same pass: ``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
@@ -26,8 +28,20 @@ O(d²) scalars reach the driver per iteration, matching the paper's
 distributed model (Theorem 1.1); the final rounding collects the fractional
 vector, the same O(n) driver pass the paper performs centrally for the
 projection's λ-search.
+
+The start is two checkpoints. The first builds the adjacency once: vertex
+rows and directed-edge rows meet in one ``groupBy(id)`` that collects
+``nbrs``, and its ``observe`` takes the weight totals, the row count and the
+ids that only the edges name. The second takes the start's gradient on it,
+like a step.
+
+A step's expressions are SQL text, with γ and λ as double literals: each
+``Column`` built through the Python API costs the driver py4j round trips,
+and a step would rebuild them all.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -47,30 +61,37 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
     return cols
 
 
+def _lit(value: float) -> str:
+    """``value`` as a SQL double literal; Spark parses it back to the same
+    double. Raises ``ValueError`` for a value that is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"GD step scalar is not finite: {value!r}")
+    return f"({value!r}D)"
+
+
 def _moments(wcols: list[str], with_grad: bool = True) -> list[Column]:
     """Aggregates of the iterate that ``relax`` reads (``local_gd.Moments``):
     ``a_j = ⟨w_j, x⟩``, the free Gram matrix ``D_j_l``, the squared step
     length ``step2`` and the number of free vertices ``n_free``; with the
     gradient also ``g_j = ⟨w_j, grad⟩_free``, ``gn2 = ‖grad‖²_free`` and
     ``xax = ⟨x, grad⟩``."""
-    free = ~F.col("fixed")
-
-    def free_sum(e: Column, name: str) -> Column:
-        return F.sum(F.when(free, e).otherwise(0.0)).alias(name)
+    def free_sum(e: str, name: str) -> str:
+        return f"sum(CASE WHEN NOT fixed THEN {e} ELSE 0.0D END) AS {name}"
 
     aggs = []
     for j, cj in enumerate(wcols):
-        aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
+        aggs.append(f"sum({cj} * x) AS a_{j}")
         if with_grad:
-            aggs.append(free_sum(F.col(cj) * F.col("grad"), f"g_{j}"))
+            aggs.append(free_sum(f"{cj} * grad", f"g_{j}"))
         for l in range(j, len(wcols)):
-            aggs.append(free_sum(F.col(cj) * F.col(wcols[l]), f"D_{j}_{l}"))
+            aggs.append(free_sum(f"{cj} * {wcols[l]}", f"D_{j}_{l}"))
     if with_grad:
-        aggs.append(free_sum(F.col("grad") ** 2, "gn2"))
-        aggs.append(F.sum(F.col("x") * F.col("grad")).alias("xax"))
-    aggs.append(F.sum("step2").alias("step2"))
-    aggs.append(F.sum(free.cast("long")).alias("n_free"))
-    return aggs
+        aggs.append(free_sum("pow(grad, 2)", "gn2"))
+        aggs.append("sum(x * grad) AS xax")
+    aggs.append("sum(step2) AS step2")
+    aggs.append("sum(CAST(NOT fixed AS BIGINT)) AS n_free")
+    return [F.expr(a) for a in aggs]
 
 
 def _parse(m: dict, d: int) -> Moments:
@@ -91,25 +112,33 @@ def _checkpoint(df: DataFrame, aggs: list[Column]) -> tuple[DataFrame, dict]:
     return df, obs.get
 
 
-def _projected(wcols: list[str], lam: np.ndarray, shift: Column) -> Column:
+def _projected(wcols: list[str], lam: np.ndarray, shift: str) -> str:
     """``clip(x + shift − Σ_j λ_j w_j)`` on free coordinates; fixed ones keep ``x``."""
-    for j, cj in enumerate(wcols):
-        shift = shift - F.lit(float(lam[j])) * F.col(cj)
-    return F.when(
-        ~F.col("fixed"), F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-    ).otherwise(F.col("x"))
+    for lj, cj in zip(lam, wcols):
+        shift = f"{shift} - {_lit(lj)} * {cj}"
+    return f"CASE WHEN NOT fixed THEN greatest(-1.0D, least(1.0D, x + ({shift}))) ELSE x END"
 
 
-def _with_gradient(state: DataFrame, passthrough: list[Column]) -> DataFrame:
-    """Add ``grad = Σ_{u∈N(id)} x_u`` to every row of ``state`` with one
-    shuffle: each vertex sends its ``x`` along its ``nbrs``, and its own row
-    meets the messages it receives in one ``groupBy``. ``passthrough`` keeps
-    the vertex columns (``first`` non-null value of each)."""
-    msgs = state.select(F.explode("nbrs").alias("id"), F.col("x").alias("msg"))
+def _packed(wcols: list[str], x: str, step2: str, fixed: str) -> str:
+    """The vertex row as the one struct ``v`` that crosses the shuffle."""
+    return f"struct({', '.join(wcols)}, {x} AS x, {step2} AS step2, {fixed} AS fixed, nbrs) AS v"
+
+
+_PASS_VERTEX = "first(v, true) AS v"
+_SUM_MESSAGES = "coalesce(sum(msg), 0.0D) AS grad"
+
+
+def _with_gradient(rows: DataFrame, aggs: list[Column]) -> DataFrame:
+    """Unpack ``rows`` (``[id, v]``) and add ``grad = Σ_{u∈N(id)} x_u`` with
+    one shuffle: each vertex sends its ``x`` along its ``nbrs``, and its own
+    row meets the messages it receives in one ``groupBy``, whose ``aggs``
+    are ``_PASS_VERTEX`` and ``_SUM_MESSAGES``."""
+    msgs = rows.selectExpr("explode(v.nbrs) AS id", "v.x AS msg")
     return (
-        state.unionByName(msgs, allowMissingColumns=True)
+        rows.unionByName(msgs, allowMissingColumns=True)
         .groupBy("id")
-        .agg(*passthrough, F.coalesce(F.sum("msg"), F.lit(0.0)).alias("grad"))
+        .agg(*aggs)
+        .selectExpr("id", "v.*", "grad")
     )
 
 
@@ -136,68 +165,74 @@ def gd_relax_spark(
     state = vertices.select("id", *wcols)
     if x0 is not None:
         x0_df = edges.sparkSession.createDataFrame(x0[["id", "x"]])
-        state = state.join(x0_df, "id", "left").withColumn("x", F.coalesce("x", F.lit(0.0)))
-        prev = F.col("x")
+        state = state.join(x0_df, "id", "left").selectExpr("id", *wcols, "coalesce(x, 0.0D) AS x")
+        prev = "x"
     else:
         # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise. It is drawn on
-        # the vertex table itself, before any join, so it depends only on the
-        # seed and on the vertex table's own partitioning.
+        # the vertex table itself, before any shuffle, so it depends only on
+        # the seed and on the vertex table's own partitioning.
         sigma = params.noise_sigma_mult / params.n_iter
-        state = state.withColumn("x", F.randn(params.seed) * F.lit(sigma))
-        prev = F.lit(0.0)
-    nbrs = (
-        symmetrize(edges)
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.collect_list("dst").alias("nbrs"))
+        state = state.selectExpr("id", *wcols, f"randn({int(params.seed)}L) * {_lit(sigma)} AS x")
+        prev = "0.0D"
+    # The adjacency, built once: an id that only the edges name gets a null
+    # ``v``, so a null ``fixed``, which this checkpoint counts.
+    adjacency = (
+        state.selectExpr("id", f"struct({', '.join(wcols)}, x, 0.0D AS step2, false AS fixed) AS v")
+        .unionByName(symmetrize(edges).selectExpr("src AS id", "dst AS nbr"),
+                     allowMissingColumns=True)
+        .groupBy("id")
+        .agg(F.expr(_PASS_VERTEX), F.expr("collect_list(nbr) AS nbrs"))
+        .selectExpr("id", "v.*", "nbrs")
     )
-    # A full join keeps the ids found only in the edges: their rows have a
-    # null ``fixed``, which the start checkpoint counts.
-    state = state.withColumns({"step2": F.lit(0.0), "fixed": F.lit(False)}).join(nbrs, "id", "full")
-    # Column expressions are built once: each costs py4j calls on the driver.
-    passthrough = [
-        F.first(c, ignorenulls=True).alias(c) for c in (*wcols, "x", "step2", "fixed", "nbrs")
-    ]
-    step_moments, last_moments = _moments(wcols), _moments(wcols, False)
-    totals = [F.sum(c).alias(f"total_{j}") for j, c in enumerate(wcols)]
     state, m = _checkpoint(
-        _with_gradient(state, passthrough),
-        step_moments + totals + [
-            F.count(F.lit(1)).alias("n"),
-            F.count_if(F.col("fixed").isNull()).alias("n_missing"),
-        ],
+        adjacency,
+        [F.expr(f"sum({c}) AS total_{j}") for j, c in enumerate(wcols)]
+        + [F.expr("count(1) AS n"), F.expr("count_if(fixed IS NULL) AS n_missing")],
     )
     if m["n_missing"]:
         raise ValueError(
             f"edge table has {m['n_missing']} endpoint(s) missing from the vertex table"
         )
     b = params.eps * np.array([float(m[f"total_{j}"]) for j in range(d)])
+    n = m["n"]
+    # Column objects are built once: each costs py4j calls on the driver.
+    gradient_aggs = [F.expr(_PASS_VERTEX), F.expr(_SUM_MESSAGES)]
+    step_moments, last_moments = _moments(wcols), _moments(wcols, False)
+    state, m = _checkpoint(
+        _with_gradient(state.selectExpr("id", _packed(wcols, "x", "step2", "fixed")), gradient_aggs),
+        step_moments,
+    )
 
     def step(gamma: float, lam: np.ndarray, fix: bool, last: bool) -> Moments:
         nonlocal state, prev
-        x_next = _projected(wcols, lam, F.lit(gamma) * F.col("grad"))
-        step2 = (x_next - prev) ** 2
-        fixed = F.col("fixed")
+        x_next = _projected(wcols, lam, f"{_lit(gamma)} * grad")
+        step2 = f"pow({x_next} - {prev}, 2)"
+        fixed = "fixed"
         if fix:
-            newly = ~fixed & (F.abs(x_next) >= params.fix_threshold)
-            x_next = F.when(newly, F.signum(x_next)).otherwise(x_next)
-            fixed = fixed | newly
-        nxt = state.select(
-            "id", *wcols, x_next.alias("x"), step2.alias("step2"), fixed.alias("fixed"), "nbrs"
-        )
-        prev = F.col("x")
-        # The last iterate needs no gradient: one narrow pass.
-        nxt = nxt.drop("nbrs") if last else _with_gradient(nxt, passthrough)
+            newly = f"(NOT fixed AND abs({x_next}) >= {_lit(params.fix_threshold)})"
+            x_next = f"CASE WHEN {newly} THEN signum({x_next}) ELSE {x_next} END"
+            fixed = f"(fixed OR {newly})"
+        prev = "x"
+        if last:
+            # The last iterate needs no gradient: one narrow pass.
+            nxt = state.selectExpr(
+                "id", *wcols, f"{x_next} AS x", f"{step2} AS step2", f"{fixed} AS fixed"
+            )
+        else:
+            nxt = _with_gradient(
+                state.selectExpr("id", _packed(wcols, x_next, step2, fixed)), gradient_aggs
+            )
         state, moments = _checkpoint(nxt, last_moments if last else step_moments)
         return _parse(moments, d)
 
     def shift(lam: np.ndarray) -> Moments:
         nonlocal state
         state, moments = _checkpoint(
-            state.withColumn("x", _projected(wcols, lam, F.lit(0.0))), last_moments
+            state.withColumn("x", F.expr(_projected(wcols, lam, "0.0D"))), last_moments
         )
         return _parse(moments, d)
 
-    relax(_parse(m, d), b, m["n"], params, step, shift)
+    relax(_parse(m, d), b, n, params, step, shift)
     return state.select("id", *wcols, "x", "fixed")
 
 

@@ -1,6 +1,8 @@
 """Tests for the distributed (Spark DataFrame) GD — cross-checked against the
 numpy reference on identical inputs."""
+import math
 import re
+import statistics
 
 import numpy as np
 import pandas as pd
@@ -14,7 +16,7 @@ from repro.core.local_gd import gd_relax_local, relax
 from repro.core.params import GDParams
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
-from tests.spark_jobs import count_jobs
+from tests.spark_jobs import count_jobs, count_py4j
 
 
 @pytest.fixture(scope="module")
@@ -123,36 +125,102 @@ def test_spark_gd_noise_is_randn_on_vertex_table(graph):
     assert np.allclose(x_spark, x_ref, atol=1e-6)
 
 
+def _final_plan(df) -> str:
+    """``df``'s executed (final adaptive) plan, without the initial plan. The
+    cut is at the top-level marker: the plan of a cached input is nested
+    inside, with markers of its own."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    return plan.split("\n+- == Initial Plan ==")[0]
+
+
 def _final_exchanges(df) -> int:
     """Shuffle ``Exchange`` nodes of ``df``'s executed (final adaptive) plan."""
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    return len(re.findall(r"(?<!\w)Exchange ", plan.split("== Initial Plan ==")[0]))
+    return len(re.findall(r"(?<!\w)Exchange ", _final_plan(df)))
+
+
+def _record_checkpoints(monkeypatch, df_cls) -> list:
+    """Every DataFrame that is checkpointed from now on, in order."""
+    checkpointed = []
+    original = df_cls.localCheckpoint
+
+    def recording(self, *args, **kwargs):
+        checkpointed.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(df_cls, "localCheckpoint", recording)
+    return checkpointed
 
 
 def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeypatch):
     """One GD step is at most two Spark jobs (the message shuffle's map stage
     and the checkpoint), and its materialised plan has a single shuffle."""
     _, _, sdf, vt = graph
-    cls = type(vt)
-    checkpointed = []
-    original = cls.localCheckpoint
-
-    def recording(self, *args, **kwargs):
-        checkpointed.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "localCheckpoint", recording)
+    checkpointed = _record_checkpoints(monkeypatch, type(vt))
 
     def jobs(n_iter: int) -> int:
         params = GDParams(n_iter=n_iter, final_project=False, seed=5)
         return count_jobs(spark, lambda: gd_relax_spark(sdf, vt, params))[0]
 
     j3 = jobs(3)
-    # Checkpoints of the n_iter=3 run: the start, two full steps, the last update.
-    steps = checkpointed[1:3]
+    # Checkpoints of the n_iter=3 run: the start's two (adjacency, gradient),
+    # two full steps, the last update.
+    steps = checkpointed[2:4]
     j6 = jobs(6)
     assert j6 - j3 <= 2 * 3
     assert [_final_exchanges(df) for df in steps] == [1, 1]
+
+
+def test_spark_gd_start_builds_adjacency_once(graph, monkeypatch):
+    """The start collects the adjacency arrays in one aggregation: across the
+    checkpoints taken before the first step, the final plans hold a single
+    ``partial_collect_list``."""
+    _, _, sdf, vt = graph
+    checkpointed = _record_checkpoints(monkeypatch, type(vt))
+    start = []
+
+    def recording(*args):
+        start.extend(checkpointed)
+        return relax(*args)
+
+    monkeypatch.setattr(gd, "relax", recording)
+    gd_relax_spark(sdf, vt, GDParams(n_iter=2, final_project=False, seed=5))
+    assert start
+    assert sum(_final_plan(df).count("partial_collect_list") for df in start) == 1
+
+
+def test_spark_gd_step_driver_cost(graph, monkeypatch):
+    """A GD step costs the driver few py4j round trips: the median number of
+    commands per step, the commands between two consecutive checkpoints, is
+    at most 150. Building each step's Columns through the Python API cost
+    hundreds."""
+    _, _, sdf, vt = graph
+    per_step = []
+
+    def recording(m, b, n, params, step, shift):
+        def counted(*args):
+            sent, moments = count_py4j(lambda: step(*args))
+            per_step.append(sent)
+            return moments
+
+        return relax(m, b, n, params, counted, shift)
+
+    monkeypatch.setattr(gd, "relax", recording)
+    gd_relax_spark(sdf, vt, GDParams(n_iter=6, final_project=False, seed=5))
+    assert len(per_step) == 6
+    assert statistics.median(per_step) <= 150
+
+
+@pytest.mark.parametrize("value", [0.1, -0.1, 1e-300, 5e-324, -1.7976931348623157e308, -0.0, 1 / 3])
+def test_step_literal_parses_back_to_the_same_double(spark, value):
+    """γ and λ enter a step as SQL text; Spark reads them back bit for bit."""
+    got = spark.range(1).selectExpr(f"{gd._lit(value)} AS v").collect()[0]["v"]
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_step_literal_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not finite"):
+        gd._lit(value)
 
 
 @pytest.mark.parametrize(
@@ -164,8 +232,8 @@ def test_spark_gd_iteration_costs_two_jobs_and_one_shuffle(graph, spark, monkeyp
     ],
 )
 def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
-    """A vertex in no edge has a null adjacency and a zero gradient: its row
-    survives and both engines still follow the same trajectory."""
+    """A vertex in no edge has an empty adjacency array and a zero gradient:
+    its row survives and both engines still follow the same trajectory."""
     spec, pdf, sdf, vt = graph
     iso = spec.n
     vt_iso = vt.unionByName(spark.createDataFrame([(iso, 0, 1.0, 0.0)], vt.schema))
