@@ -147,8 +147,9 @@ def gd_relax_spark(
     vertices: DataFrame,
     params: GDParams,
     x0: pd.DataFrame | None = None,
-) -> DataFrame:
-    """Run the GD relaxation; returns ``[id, w_*, x, fixed]`` (fractional).
+) -> tuple[DataFrame, list[Moments]]:
+    """Run the GD relaxation; returns ``[id, w_*, x, fixed]`` (fractional)
+    and ``relax``'s trace of ``n_iter`` moments, as ``gd_relax_local`` does.
 
     ``x0`` (pandas ``[id, x]``) overrides the zero start — used by tests to
     cross-check against the numpy reference without sampling noise twice.
@@ -171,8 +172,8 @@ def gd_relax_spark(
         # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise. It is drawn on
         # the vertex table itself, before any shuffle, so it depends only on
         # the seed and on the vertex table's own partitioning.
-        sigma = params.noise_sigma_mult / params.n_iter
-        state = state.selectExpr("id", *wcols, f"randn({int(params.seed)}L) * {_lit(sigma)} AS x")
+        sigma = _lit(params.noise_sigma)
+        state = state.selectExpr("id", *wcols, f"randn({int(params.seed)}L) * {sigma} AS x")
         prev = "0.0D"
     # The adjacency, built once: an id that only the edges name gets a null
     # ``v``, so a null ``fixed``, which this checkpoint counts.
@@ -232,21 +233,24 @@ def gd_relax_spark(
         )
         return _parse(moments, d)
 
-    relax(_parse(m, d), b, n, params, step, shift)
-    return state.select("id", *wcols, "x", "fixed")
+    trace = relax(_parse(m, d), b, n, params, step, shift)
+    return state.select("id", *wcols, "x", "fixed"), trace
 
 
-def gd_bipartition_spark(edges: DataFrame, vertices: DataFrame, params: GDParams) -> DataFrame:
-    """Full distributed GD 2-partitioner; returns assignment ``[id, part]``.
+def gd_bipartition_spark(
+    edges: DataFrame, vertices: DataFrame, params: GDParams
+) -> tuple[DataFrame, list[Moments]]:
+    """Full distributed GD 2-partitioner; returns assignment ``[id, part]``
+    and the GD trace.
 
     Rounding + repair run on the driver over the collected fractional vector
     (an O(n log n + n·d + flips·d) pass, like the paper's centralized
     λ-search; see DESIGN.md §3).
     """
     wcols = _weight_cols(vertices)
-    frac = gd_relax_spark(edges, vertices, params)
+    frac, trace = gd_relax_spark(edges, vertices, params)
     pdf = frac.select("id", *wcols, "x").toPandas().sort_values("id")
     W = pdf[wcols].to_numpy(dtype=float)
     part = round_to_halves(pdf["x"].to_numpy(), W, params.eps, params.seed)
     out = pd.DataFrame({"id": pdf["id"].to_numpy(), "part": part})
-    return edges.sparkSession.createDataFrame(out)
+    return edges.sparkSession.createDataFrame(out), trace

@@ -110,9 +110,9 @@ def gd_relax_local(
     """Run the continuous GD relaxation (``relax``) on numpy arrays; returns
     final fractional ``x`` and ``relax``'s trace of ``n_iter`` moments.
 
-    The one-shot step applies ``relax``'s λ; the other projections ignore it
-    and project ``x + γ·grad`` themselves. ``x0`` replaces the noisy zero
-    start."""
+    The one-shot step applies ``relax``'s λ; the exact projection ignores it
+    and projects ``x + γ·grad`` with ``project_exact``. ``x0`` replaces the
+    noisy zero start."""
     n = len(W)
     sym_src, sym_dst = _symmetric_arrays(edges)
     b = params.eps * W.sum(axis=0)
@@ -120,7 +120,7 @@ def gd_relax_local(
     x = prev
     if x0 is None:
         # Escape the saddle at x=0 (noise only at t=0, §3.2).
-        x = np.random.default_rng(params.seed).normal(0.0, params.noise_sigma_mult / params.n_iter, n)
+        x = np.random.default_rng(params.seed).normal(0.0, params.noise_sigma, n)
     fixed = np.zeros(n, dtype=bool)
     free = W_free = grad = None
 
@@ -140,8 +140,7 @@ def gd_relax_local(
             y[free] = np.clip(x[free] + gamma * grad - W_free @ lam, -1.0, 1.0)
         else:
             y[free] += gamma * grad
-            project = {"alternating": P.alternating, "dykstra": P.dykstra}
-            y = project.get(params.projection, P.project_exact)(y, W, b, fixed, x)
+            y = P.project_exact(y, W, b, fixed, x)
         step_len = float(np.linalg.norm(y - prev))
         x = prev = y
         if fix:

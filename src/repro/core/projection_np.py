@@ -12,18 +12,16 @@ is how the ``O(|E|/m + ...)`` distributed step of Theorem 1.1 is realized.
 Both GD engines take their one-shot step and their final projection from
 these λ: numpy applies them to an array, Spark to a DataFrame column.
 
-Implemented methods, all pure numpy:
+GD's other projection (``GDParams.projection='exact'``) is
+``project_exact``. Implemented methods, all pure numpy:
 
 - ``clip_box`` / ``project_slab`` / ``project_plane`` — primitive projections.
 - ``sequential_lambdas`` — the multipliers of the sequential plane/slab
-  projections, from ``(s, D)``; ``final_slab_lambdas`` wraps it with the
+  projections, from ``(s, D)``; the one-shot step is the plane pass followed
+  by one box clip. ``final_slab_lambdas`` wraps the slab pass with the
   stopping rule of the final projection before rounding.
-- ``one_shot_alternating`` — the paper's default: one plane projection per
-  dimension, then one box clip (§3.1).
-- ``alternating`` — alternating projections until convergence; converges to a
-  point of K but not necessarily to the closest one.
 - ``dykstra`` — Dykstra's algorithm over the d slabs + box; converges to the
-  *exact* projection (used as ground truth in tests).
+  *exact* projection (ground truth in tests, and ``project_exact`` for d>2).
 - ``exact_d1`` / ``exact_d2`` / ``project_exact`` — the paper's KKT-based
   exact projections (Theorem 1.1): breakpoint walk for d=1 (O(n log n)) and,
   for d=2, the nested search of Appendix A as one monotone search for the
@@ -42,6 +40,8 @@ _TOL = 1e-9
 # slab-1 face counts as out of reach. GD inputs reach it below 3 times that λ;
 # far beyond, y − λ·w_1 keeps too few digits of y to place x.
 _MAX_DOUBLINGS = 24
+# Euclidean distance from the KKT point at which the d=2 search stops.
+_D2_TOL = 1e-10
 
 
 def clip_box(y: np.ndarray, fixed: np.ndarray | None = None, x_fixed: np.ndarray | None = None) -> np.ndarray:
@@ -113,54 +113,6 @@ def final_slab_lambdas(s: np.ndarray, D: np.ndarray, b: np.ndarray) -> np.ndarra
     if float(np.abs(lam).max(initial=0.0)) < 1e-7:
         return None
     return lam
-
-
-def one_shot_alternating(
-    y: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    fixed: np.ndarray | None = None,
-    x_fixed: np.ndarray | None = None,
-    target: str = "plane",
-) -> np.ndarray:
-    """One pass: project on each balance constraint sequentially, then the box.
-
-    ``target='plane'`` projects onto ``⟨w_j,x⟩ = 0`` (the paper's §3.1 choice,
-    which lies inside every slab); ``'slab'`` projects onto the slab faces.
-    ``W`` is (n, d); ``b`` is (d,). The d projections are taken in λ-form:
-    ``sequential_lambdas`` on ``s = Wᵀy`` and the free Gram matrix, then
-    ``y_free − W_free·λ`` once.
-    """
-    if fixed is None or not fixed.any():
-        lam = sequential_lambdas(W.T @ y, W.T @ W, b, target)
-        return clip_box(y - W @ lam)
-    free = ~fixed
-    W_free = W[free]
-    lam = sequential_lambdas(W.T @ y, W_free.T @ W_free, b, target)
-    x = y.copy()
-    x[free] -= W_free @ lam
-    return clip_box(x, fixed, x_fixed)
-
-
-def alternating(
-    y: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    fixed: np.ndarray | None = None,
-    x_fixed: np.ndarray | None = None,
-    target: str = "plane",
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-) -> np.ndarray:
-    """Alternating projections until movement < tol — a point of K, not
-    necessarily the projection (§3.1 method 1)."""
-    x = y.copy()
-    for _ in range(max_iter):
-        x_new = one_shot_alternating(x, W, b, fixed, x_fixed, target)
-        if float(np.linalg.norm(x_new - x)) < tol:
-            return x_new
-        x = x_new
-    return x
 
 
 def dykstra(
@@ -288,7 +240,6 @@ def exact_d2(
     b: np.ndarray,
     fixed: np.ndarray | None = None,
     x_fixed: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Exact projection onto ``B_inf ∩ S^1 ∩ S^2`` by a nested monotone
     search (Appendix A).
@@ -299,7 +250,7 @@ def exact_d2(
     is monotone). λ = 0 if ``|φ(0)| ≤ b_1``; otherwise λ solves
     ``φ(λ) = sign(φ(0))·b_1`` on the side φ(0) points to: a bracket is
     doubled, then halved, and x is taken at its end inside slab 1, within
-    ``tol`` (Euclidean) of the x that meets the KKT conditions of the
+    ``_D2_TOL`` (Euclidean) of the x that meets the KKT conditions of the
     projection. Only fixed coordinates can put the face out of reach (K is
     then empty); x at the last bracket, the point of ``B_inf ∩ S^2`` nearest
     that face the search reaches, is returned as a best effort.
@@ -329,9 +280,9 @@ def exact_d2(
     else:
         return x
     # x(λ) moves by at most |Δλ|·‖w_1‖ (a projection is non-expansive), so
-    # the bracket is halved until its feasible end is within tol of the
+    # the bracket is halved until its feasible end is within _D2_TOL of the
     # projection.
-    for _ in range(max(0, int(np.ceil(np.log2((hi - lo) * np.linalg.norm(w1) / tol))))):
+    for _ in range(max(0, int(np.ceil(np.log2((hi - lo) * np.linalg.norm(w1) / _D2_TOL))))):
         mid = 0.5 * (lo + hi)
         x_mid = x_at(sign * mid)
         if sign * float(np.dot(w1, x_mid)) <= b1:

@@ -127,7 +127,7 @@ def partition_k_spark(
     levels = int(np.log2(k))
     wcols = _weight_cols(vertices)
     if spark_levels == 1:
-        halves = gd_bipartition_spark(edges, vertices, _level_params(params, levels, 0))
+        halves, _ = gd_bipartition_spark(edges, vertices, _level_params(params, levels, 0))
         if k == 2:
             return halves
     ids, W, epdf = _collect(edges, vertices, wcols)

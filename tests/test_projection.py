@@ -89,22 +89,6 @@ def test_project_slab_moves_to_face():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_one_shot_plane_satisfies_planes_before_clip(d):
-    rng = np.random.default_rng(3)
-    y, W, b = _rand_instance(rng, 40, d)
-    x = P.one_shot_alternating(y, W, b)
-    assert np.abs(x).max() <= 1 + 1e-9
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_alternating_converges_into_K(d):
-    rng = np.random.default_rng(4)
-    y, W, b = _rand_instance(rng, 50, d, eps=0.05)
-    x = P.alternating(y, W, b, tol=1e-10, max_iter=5000)
-    assert _in_K(x, W, b, tol=1e-5)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
 def test_dykstra_in_K(d):
     rng = np.random.default_rng(5)
     y, W, b = _rand_instance(rng, 40, d, eps=0.05)
@@ -291,16 +275,6 @@ def test_project_exact_dispatch():
 
 
 # ----------------------------------------------------- cross-method agreement
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_dykstra_at_least_as_close_as_alternating(seed):
-    """Dykstra finds the projection; alternating only some point of K."""
-    rng = np.random.default_rng(200 + seed)
-    y, W, b = _rand_instance(rng, 40, 2, eps=0.05)
-    xd = P.dykstra(y, W, b, tol=1e-12, max_iter=30000)
-    xa = P.alternating(y, W, b, target="slab", tol=1e-10)
-    assert np.linalg.norm(xd - y) <= np.linalg.norm(xa - y) + 1e-6
 
 
 def test_paper_observation_dykstra_close_to_exact():

@@ -1,10 +1,10 @@
-"""Tests for the sequential-λ helper behind both GD engines' projections.
+"""Tests for ``sequential_lambdas``, the one copy of the one-shot projection
+math behind both GD engines' steps and final projections.
 
-The helper must reproduce *exactly* the sequential plane/slab projections on
-the vector — that identity is what makes the Spark and local GD trajectories
-coincide (verified end-to-end in test_spark_gd). ``one_shot_alternating`` is
-the helper applied to a numpy vector, so it is checked against the same
-sequential projections.
+Its multipliers must reproduce *exactly* the sequential plane/slab
+projections on the vector: both engines apply them as
+``x_free ← clip(y_free − W_free·λ)``, so the Spark and local GD trajectories
+coincide (verified end-to-end in test_spark_gd).
 """
 import numpy as np
 import pytest
@@ -133,7 +133,10 @@ def test_one_shot_matches_sequential_projections_then_clip(d, target, masked, se
         fixed = rng.random(n) < 0.3
         x_fixed = np.where(rng.random(n) < 0.5, -1.0, 1.0)
 
-    got = P.one_shot_alternating(y, W, b, fixed, x_fixed, target)
+    free = np.ones(n, bool) if fixed is None else ~fixed
+    W_free = W[free]
+    lam = sequential_lambdas(W.T @ y, W_free.T @ W_free, b, target)
+    got = P.clip_box(_apply(y, W, lam, free), fixed, x_fixed)
     want = _sequential_then_clip(y, W, b, fixed, x_fixed, target)
     assert np.allclose(got, want, atol=1e-10)
     if masked:

@@ -45,7 +45,7 @@ def test_spark_matches_local_trajectory(graph):
     x_local, _ = gd_relax_local(pdf, W, params, x0=x0)
 
     x0_df = pd.DataFrame({"id": np.arange(spec.n), "x": x0})
-    frac = gd_relax_spark(sdf, vt, params, x0=x0_df)
+    frac, _ = gd_relax_spark(sdf, vt, params, x0=x0_df)
     x_spark = frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
     assert np.allclose(x_spark, x_local, atol=1e-6)
 
@@ -60,14 +60,14 @@ def test_spark_matches_local_with_fixing_and_final(graph):
     W = _W_from_vt(vt)
     x_local, _ = gd_relax_local(pdf, W, params, x0=x0)
     x0_df = pd.DataFrame({"id": np.arange(spec.n), "x": x0})
-    frac = gd_relax_spark(sdf, vt, params, x0=x0_df)
+    frac, _ = gd_relax_spark(sdf, vt, params, x0=x0_df)
     x_spark = frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
     assert np.allclose(x_spark, x_local, atol=1e-5)
 
 
 def test_spark_gd_stays_in_box(graph):
     _, _, sdf, vt = graph
-    frac = gd_relax_spark(sdf, vt, GDParams(n_iter=6, seed=1))
+    frac, _ = gd_relax_spark(sdf, vt, GDParams(n_iter=6, seed=1))
     mx = frac.agg(F.max(F.abs(F.col("x")))).collect()[0][0]
     assert mx <= 1 + 1e-9
 
@@ -75,7 +75,8 @@ def test_spark_gd_stays_in_box(graph):
 def test_spark_bipartition_end_to_end(graph):
     spec, _, sdf, vt = graph
     params = GDParams(n_iter=12, eps=0.05, seed=2)
-    assign = gd_bipartition_spark(sdf, vt, params)
+    assign, trace = gd_bipartition_spark(sdf, vt, params)
+    assert len(trace) == params.n_iter
     assert assign.count() == spec.n
     assert set(r["part"] for r in assign.select("part").distinct().collect()) == {0, 1}
     # ε-balance on both dimensions (Definition 2.1).
@@ -89,8 +90,8 @@ def test_spark_bipartition_end_to_end(graph):
 def test_spark_gd_noise_seed_deterministic(graph):
     _, _, sdf, vt = graph
     p = GDParams(n_iter=3, seed=9, final_project=False)
-    a = gd_relax_spark(sdf, vt, p).select("id", "x").toPandas().sort_values("id")
-    b = gd_relax_spark(sdf, vt, p).select("id", "x").toPandas().sort_values("id")
+    a = gd_relax_spark(sdf, vt, p)[0].select("id", "x").toPandas().sort_values("id")
+    b = gd_relax_spark(sdf, vt, p)[0].select("id", "x").toPandas().sort_values("id")
     assert np.allclose(a["x"].to_numpy(), b["x"].to_numpy())
 
 
@@ -115,12 +116,11 @@ def test_spark_gd_noise_is_randn_on_vertex_table(graph):
     so one GD step from it equals the numpy step from that same noise."""
     spec, pdf, sdf, vt = graph
     params = GDParams(n_iter=1, fixing=False, final_project=False, seed=11)
-    sigma = params.noise_sigma_mult / params.n_iter
-    noise = vt.select("id", (F.randn(params.seed) * F.lit(sigma)).alias("x")).toPandas()
+    noise = vt.select("id", (F.randn(params.seed) * F.lit(params.noise_sigma)).alias("x")).toPandas()
     x0 = noise.sort_values("id")["x"].to_numpy()
     assert np.abs(x0).max() > 0
     x_ref, _ = gd_relax_local(pdf, _W_from_vt(vt), params, x0=x0)
-    frac = gd_relax_spark(sdf, vt, params)
+    frac, _ = gd_relax_spark(sdf, vt, params)
     x_spark = frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
     assert np.allclose(x_spark, x_ref, atol=1e-6)
 
@@ -240,7 +240,7 @@ def test_spark_gd_keeps_isolated_vertex(graph, spark, params, atol):
     W = np.vstack([_W_from_vt(vt), [1.0, 0.0]])
     x0 = np.random.default_rng(6).uniform(-0.05, 0.05, spec.n + 1)
     x_local, _ = gd_relax_local(pdf, W, params, x0=x0)
-    frac = gd_relax_spark(sdf, vt_iso, params, x0=pd.DataFrame({"id": np.arange(iso + 1), "x": x0}))
+    frac, _ = gd_relax_spark(sdf, vt_iso, params, x0=pd.DataFrame({"id": np.arange(iso + 1), "x": x0}))
     got = frac.select("id", "x").toPandas().sort_values("id")
     assert got["id"].tolist() == list(range(iso + 1))
     assert np.allclose(got["x"].to_numpy(), x_local, atol=atol)
@@ -264,7 +264,7 @@ def test_gd_stops_once_every_vertex_is_fixed(graph, spark):
         )
 
     def spark_x(n_iter: int) -> tuple[int, np.ndarray]:
-        jobs, frac = count_jobs(spark, lambda: gd_relax_spark(sdf, vt, params(n_iter), x0=x0_df))
+        jobs, (frac, _) = count_jobs(spark, lambda: gd_relax_spark(sdf, vt, params(n_iter), x0=x0_df))
         return jobs, frac.select("id", "x").toPandas().sort_values("id")["x"].to_numpy()
 
     jobs3, x3 = spark_x(3)
@@ -287,22 +287,13 @@ def test_gd_stops_once_every_vertex_is_fixed(graph, spark):
         (GDParams(n_iter=6, fix_start_frac=0.0, fix_threshold=0.0, final_project=False, seed=0), False),
     ],
 )
-def test_spark_trace_matches_numpy(graph, monkeypatch, params, last_ran):
-    """relax returns n_iter trace entries for the Spark engine too, equal to
-    numpy's. Spark takes no gradient after the last step, so there ⟨x, Ax⟩
-    reads 0."""
+def test_spark_trace_matches_numpy(graph, params, last_ran):
+    """The Spark engine returns n_iter trace entries too, equal to numpy's.
+    Spark takes no gradient after the last step, so there ⟨x, Ax⟩ reads 0."""
     spec, pdf, sdf, vt = graph
-    traces = []
-
-    def recording(*args):
-        traces.append(relax(*args))
-        return traces[-1]
-
-    monkeypatch.setattr(gd, "relax", recording)
     x0 = np.random.default_rng(3).uniform(-0.02, 0.02, spec.n)
     _, local = gd_relax_local(pdf, _W_from_vt(vt), params, x0=x0)
-    gd_relax_spark(sdf, vt, params, x0=pd.DataFrame({"id": np.arange(spec.n), "x": x0}))
-    (spark_trace,) = traces
+    _, spark_trace = gd_relax_spark(sdf, vt, params, x0=pd.DataFrame({"id": np.arange(spec.n), "x": x0}))
     assert len(spark_trace) == len(local) == params.n_iter
     assert [m.n_free for m in spark_trace] == [m.n_free for m in local]
     for field in ("a", "step"):
