@@ -88,6 +88,40 @@ def test_project_slab_moves_to_face():
 # ------------------------------------------------------- composite projections
 
 
+def _one_shot_rounds(y, W, b):
+    """The final projection as both GD engines run it: slab passes of
+    ``final_slab_lambdas``, each followed by the box clip, until it stops."""
+    x = P.clip_box(y)
+    for rounds in range(P.FINAL_PROJECT_ITERS):
+        lam = P.final_slab_lambdas(W.T @ x, W.T @ W, b)
+        if lam is None:
+            return x, rounds
+        x = P.clip_box(x - W @ lam)
+    return x, P.FINAL_PROJECT_ITERS
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_shot_plane_satisfies_planes_before_clip(d):
+    """The one-shot plane pass hits the last plane exactly; the clip then
+    puts x in the box."""
+    rng = np.random.default_rng(3)
+    y, W, b = _rand_instance(rng, 40, d)
+    lam = P.sequential_lambdas(W.T @ y, W.T @ W, b, target="plane")
+    before_clip = y - W @ lam
+    assert abs(float(W[:, d - 1] @ before_clip)) < 1e-9
+    x = P.clip_box(before_clip)
+    assert np.abs(x).max() <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_final_slab_rounds_converge_into_K(d):
+    rng = np.random.default_rng(4)
+    y, W, b = _rand_instance(rng, 50, d, eps=0.05)
+    x, rounds = _one_shot_rounds(y, W, b)
+    assert rounds < P.FINAL_PROJECT_ITERS
+    assert _in_K(x, W, b, tol=1e-5)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dykstra_in_K(d):
     rng = np.random.default_rng(5)
@@ -275,6 +309,21 @@ def test_project_exact_dispatch():
 
 
 # ----------------------------------------------------- cross-method agreement
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dykstra_at_least_as_close_as_any_point_of_K(seed):
+    """Dykstra finds the projection: no other point z of K is closer to y,
+    and ⟨y − x, z − x⟩ ≤ 0 (the variational inequality of a projection)."""
+    rng = np.random.default_rng(200 + seed)
+    y, W, b = _rand_instance(rng, 40, 2, eps=0.05)
+    xd = P.dykstra(y, W, b, tol=1e-12, max_iter=30000)
+    others = [_one_shot_rounds(y, W, b)[0]]
+    others += [P.dykstra(rng.normal(0, 1.5, 40), W, b, tol=1e-12, max_iter=30000) for _ in range(4)]
+    for z in others:
+        assert _in_K(z, W, b, tol=1e-5)
+        assert np.linalg.norm(xd - y) <= np.linalg.norm(z - y) + 1e-6
+        assert float((y - xd) @ (z - xd)) <= 1e-5
 
 
 def test_paper_observation_dykstra_close_to_exact():
